@@ -16,7 +16,6 @@ The package is organized as:
 
 from .lattice import (
     DivisorClass,
-    IntersectionForm,
     arithmetic_genus,
     degree,
     expected_dim_linear_system,
@@ -84,5 +83,4 @@ from .experiments import (
     run_experiment,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidInvocationError, LiaisonkitError
 from .lattice import DivisorClass
 from .surfaces import get_surface, lines_on, conic_classes, surface_ids
-from .curves import CurveRecord, RaoTag
+from .curves import CurveRecord
 from .liaison import SearchFailure, ascending_chain_search
 from .glicci import GlicciFailure, glicci_chain
 from .experiments import divisor_eval, experiment_ids, run_experiment
@@ -84,23 +83,28 @@ def _cmd_divisor_eval(args) -> int:
 
 
 def _cmd_biliaison_chain(args) -> int:
-    d, g = (int(x) for x in args.target.split(","))
+    try:
+        d, g = (int(x) for x in args.target.split(","))
+    except ValueError:
+        raise InvalidInvocationError(
+            f"expected --target DEGREE,GENUS, got {args.target!r}"
+        ) from None
     surfaces = args.surfaces.split(",") if args.surfaces else None
     starts = None
     if args.start:
-        sid, _, coeffs = args.start.partition(":")
-        starts = [
-            CurveRecord.on_surface(
-                sid, DivisorClass.blownup(parse_coeffs(coeffs)), rao=RaoTag.simple_k(0)
+        sid, sep, coeffs = args.start.partition(":")
+        if not sep:
+            raise InvalidInvocationError(
+                f"expected --start SURFACE:COEFFS, got {args.start!r}"
             )
-        ]
+        cls = DivisorClass.blownup(parse_coeffs(coeffs))
+        starts = [CurveRecord.on_surface(get_surface(sid), cls)]
     result = ascending_chain_search(
         (d, g),
         surfaces=surfaces,
         ascending_only=not args.any_direction,
         max_steps=args.max_steps,
         starts=starts,
-        workers=args.workers,
     )
     if isinstance(result, SearchFailure):
         _emit(
@@ -131,7 +135,6 @@ def _cmd_glicci(args) -> int:
         mode=mode,
         max_intermediate=args.max_intermediate,
         surface_degree=args.surface_degree,
-        workers=args.workers,
     )
     if isinstance(chain, GlicciFailure):
         _emit(
@@ -185,17 +188,9 @@ def _cmd_experiment_run(args) -> int:
     surfaces = args.surfaces.split(",") if args.surfaces is not None else None
     if args.surfaces == "":
         raise InvalidInvocationError("empty surface set")
-
-    def run(eid):
-        return run_experiment(eid, surfaces=surfaces)
-
-    if args.jobs > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, ids))
-    else:
-        reports = [run(eid) for eid in ids]
     ok = True
-    for report in reports:  # buffered: one experiment at a time, in order
+    for eid in ids:
+        report = run_experiment(eid, surfaces=surfaces)
         print(_render_report(report, args.format))
         ok = ok and report.all_match
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -229,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     bil_sub = p_bil.add_subparsers(dest="subcommand", required=True)
     p_chain = bil_sub.add_parser("chain", help="search a chain to a target (d,g)")
     p_chain.add_argument("--target", required=True, help="degree,genus")
-    p_chain.add_argument("--ascending-only", action="store_true", default=True)
     p_chain.add_argument(
         "--any-direction",
         action="store_true",
@@ -238,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("--max-steps", type=int, default=8)
     p_chain.add_argument("--surfaces", default=None, help="comma-separated ids")
     p_chain.add_argument("--start", default=None, help="seed as surface:coeffs")
-    p_chain.add_argument("--workers", type=int, default=1)
     p_chain.add_argument("--format", choices=("table", "json"), default="table")
     p_chain.set_defaults(func=_cmd_biliaison_chain)
 
@@ -248,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_glicci.add_argument("--mode", choices=("full", "descending"), default="full")
     p_glicci.add_argument("--max-intermediate", type=int, default=None)
     p_glicci.add_argument("--surface-degree", type=int, default=None)
-    p_glicci.add_argument("--workers", type=int, default=1)
     p_glicci.add_argument("--format", choices=("table", "json"), default="table")
     p_glicci.set_defaults(func=_cmd_glicci)
 
@@ -257,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = exp_sub.add_parser("run", help="run one experiment or 'all'")
     p_run.add_argument("id", help=f"'all' or one of: {', '.join(experiment_ids())}")
     p_run.add_argument("--format", choices=("table", "json"), default="table")
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--surfaces", default=None)
     p_run.set_defaults(func=_cmd_experiment_run)
 
@@ -269,13 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInvocationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except LiaisonkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (LiaisonkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -2,9 +2,11 @@
 curve constructors.
 
 A :class:`CurveRecord` stores exact degree and arithmetic genus, an
-optional divisor-class witness on a catalog surface, and a symbolic Rao
-tag.  Rao tags are bookkeeping only: no cohomology is computed, and
-``unknown`` is the honest default for curves without an asserted module.
+optional divisor-class witness, and a symbolic Rao tag.  A witness
+carries its :class:`SurfaceModel` itself, not a catalog id, so records on
+surfaces from an alternate catalog work like any other.  Rao tags are
+bookkeeping only: no cohomology is computed, and ``unknown`` is the
+honest default for curves without an asserted module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InvalidClassError, LiaisonkitError, MissingWitnessError
 from .lattice import DivisorClass, arithmetic_genus, degree, intersect
-from .surfaces import SurfaceModel, conic_classes, get_surface, lines_on
+from .surfaces import SurfaceModel, conic_classes, lines_on
 
 RAO_ZERO = "zero"
 RAO_SIMPLE_K = "simple_k"
@@ -80,7 +82,7 @@ class RaoTag:
 
 @dataclass(frozen=True)
 class Witness:
-    surface_id: str
+    surface: SurfaceModel
     cls: DivisorClass
 
 
@@ -100,7 +102,7 @@ class CurveRecord:
 
     def __post_init__(self):
         if self.witness is not None:
-            s = get_surface(self.witness.surface_id)
+            s = self.witness.surface
             d = degree(self.witness.cls, s)
             g = arithmetic_genus(self.witness.cls, s)
             if (d, g) != (self.degree, self.genus):
@@ -112,16 +114,15 @@ class CurveRecord:
     @classmethod
     def on_surface(
         cls,
-        surface: SurfaceModel | str,
+        surface: SurfaceModel,
         divisor: DivisorClass,
         rao: RaoTag = RaoTag(),
         provenance: str = "",
     ) -> "CurveRecord":
-        s = get_surface(surface) if isinstance(surface, str) else surface
         return cls(
-            degree=degree(divisor, s),
-            genus=arithmetic_genus(divisor, s),
-            witness=Witness(s.id, divisor),
+            degree=degree(divisor, surface),
+            genus=arithmetic_genus(divisor, surface),
+            witness=Witness(surface, divisor),
             rao=rao,
             provenance=provenance,
         )
@@ -139,7 +140,7 @@ class CurveRecord:
     def witness_surface(self) -> SurfaceModel:
         if self.witness is None:
             raise MissingWitnessError(f"curve ({self.degree},{self.genus}) has no witness")
-        return get_surface(self.witness.surface_id)
+        return self.witness.surface
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,10 @@ def disjoint_union(c1: CurveRecord, c2: CurveRecord) -> CurveRecord:
     if (
         c1.witness is not None
         and c2.witness is not None
-        and c1.witness.surface_id == c2.witness.surface_id
+        and c1.witness.surface == c2.witness.surface
         and intersect(c1.witness.cls, c2.witness.cls) == 0
     ):
-        witness = Witness(c1.witness.surface_id, c1.witness.cls + c2.witness.cls)
+        witness = Witness(c1.witness.surface, c1.witness.cls + c2.witness.cls)
     return CurveRecord(
         degree=c1.degree + c2.degree,
         genus=c1.genus + c2.genus - 1,

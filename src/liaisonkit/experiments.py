@@ -123,24 +123,6 @@ class ExperimentReport:
         )
 
 
-def _report(experiment_id, anchor, computed, references, started):
-    computed = {k: _jnorm(v) for k, v in computed.items()}
-    matches = {}
-    for key, ref in references.items():
-        if key in computed:
-            matches[key] = computed[key] == ref.value
-        else:
-            matches[key] = None  # display-only reference
-    return ExperimentReport(
-        experiment_id=experiment_id,
-        anchor=anchor,
-        computed=computed,
-        references=references,
-        matches=matches,
-        runtime_seconds=round(time.time() - started, 6),
-    )
-
-
 def _require(surfaces, *needed):
     if surfaces is None:
         return
@@ -158,7 +140,6 @@ def _require(surfaces, *needed):
 
 def _ex3_2(surfaces):
     _require(surfaces, "cubic_scroll")
-    t0 = time.time()
     scroll = get_surface("cubic_scroll")
     l1 = CurveRecord.on_surface(scroll, DivisorClass.blownup((0, -1)), rao=RaoTag.zero())
     l2 = CurveRecord.on_surface(scroll, DivisorClass.blownup((1, 1)), rao=RaoTag.zero())
@@ -195,12 +176,11 @@ def _ex3_2(surfaces):
         "c1_pencil_bound": RefValue(4, "paper", "pencil through the conic plane"),
         "c2_pencil_bound": RefValue(3, "paper", "trigonal"),
     }
-    return _report("ex3.2", "Example 3.2", computed, references, t0)
+    return "Example 3.2", computed, references
 
 
 def _ex3_4(surfaces):
     _require(surfaces, "bordiga_6")
-    t0 = time.time()
     bordiga = get_surface("bordiga_6")
     ls = [
         DivisorClass.blownup((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1)),
@@ -236,12 +216,11 @@ def _ex3_4(surfaces):
         "acm_h_vector_candidates": RefValue([[1, 3, 6, 6, 3]], "derived"),
         "shared_character": RefValue([-1, -2, -3, 0, 3, 3], "derived"),
     }
-    return _report("ex3.4", "Example 3.4", computed, references, t0)
+    return "Example 3.4", computed, references
 
 
 def _ex3_6(surfaces):
     _require(surfaces, "cubic_scroll", "bordiga_6")
-    t0 = time.time()
     scroll = get_surface("cubic_scroll")
     bordiga = get_surface("bordiga_6")
     c_10_9 = DivisorClass.blownup((6, 2))
@@ -270,11 +249,10 @@ def _ex3_6(surfaces):
         "bordiga_10_6_family_dim": RefValue(45, "derived", "36 + dim|C|"),
         "bound_10_6": RefValue(45, "derived", "component bound met with equality"),
     }
-    return _report("ex3.6", "Example 3.6", computed, references, t0)
+    return "Example 3.6", computed, references
 
 
 def _prop2_1(surfaces):
-    t0 = time.time()
     lengths = {}
     ok = True
     for n in range(1, 31):
@@ -301,12 +279,11 @@ def _prop2_1(surfaces):
             "shortest link counts under default bounds",
         ),
     }
-    return _report("prop2.1", "Proposition 2.1", computed, references, t0)
+    return "Proposition 2.1", computed, references
 
 
 def _prop2_2(surfaces):
     _require(surfaces, "quadric_p3")
-    t0 = time.time()
     quadric = get_surface("quadric_p3")
     acm_degrees = []
     for c in range(1, 6):
@@ -338,11 +315,10 @@ def _prop2_2(surfaces):
             True, "paper", "ascending biliaisons on curves lying on the quadric"
         ),
     }
-    return _report("prop2.2", "Proposition 2.2", computed, references, t0)
+    return "Proposition 2.2", computed, references
 
 
 def _prop2_3(surfaces):
-    t0 = time.time()
     ok = True
     n18 = None
     for n in range(1, 20):
@@ -368,11 +344,10 @@ def _prop2_3(surfaces):
             True, "paper", "one has to link up before linking down"
         ),
     }
-    return _report("prop2.3", "Proposition 2.3", computed, references, t0)
+    return "Proposition 2.3", computed, references
 
 
 def _cor2_4(surfaces):
-    t0 = time.time()
     full_ok = True
     cubic_ok = True
     for n in range(1, 20):
@@ -400,7 +375,7 @@ def _cor2_4(surfaces):
             19, "paper", "n <= 19 points lie on a nonsingular cubic"
         ),
     }
-    return _report("cor2.4", "Corollary 2.4", computed, references, t0)
+    return "Corollary 2.4", computed, references
 
 
 def acm_candidate_pairs(surface_ids, max_degree=9):
@@ -434,7 +409,6 @@ def acm_candidate_pairs(surface_ids, max_degree=9):
 def _prop3_1(surfaces):
     trio = ("cubic_scroll", "del_pezzo_4", "castelnuovo_5")
     _require(surfaces, *trio, "bordiga_6")
-    t0 = time.time()
     admitted = acm_candidate_pairs(trio)
     chains = {}
     ok = True
@@ -468,11 +442,10 @@ def _prop3_1(surfaces):
         ),
         "bordiga_10_6_steps": RefValue(2, "paper", "the (10,6) case uses the degree-6 surface"),
     }
-    return _report("prop3.1", "Proposition 3.1", computed, references, t0)
+    return "Proposition 3.1", computed, references
 
 
 def _prop4_1(surfaces):
-    t0 = time.time()
     rows = []
     for d in range(2, 9):
         rec = minimal_curve_M_k(d)
@@ -488,12 +461,11 @@ def _prop4_1(surfaces):
             "line plus a plane curve of degree d-1; module k in degree 0",
         ),
     }
-    return _report("prop4.1", "Proposition 4.1", computed, references, t0)
+    return "Proposition 4.1", computed, references
 
 
 def _ex4_2(surfaces):
     _require(surfaces, "cubic_scroll")
-    t0 = time.time()
     scroll = get_surface("cubic_scroll")
     start = CurveRecord.on_surface(
         scroll, DivisorClass.blownup((2, 2)), rao=RaoTag.simple_k(0)
@@ -513,12 +485,11 @@ def _ex4_2(surfaces):
         "result_dg": RefValue([5, 0], "paper"),
         "result_rao_shift": RefValue(1, "paper", "module k in degree 1"),
     }
-    return _report("ex4.2", "Example 4.2", computed, references, t0)
+    return "Example 4.2", computed, references
 
 
 def _ex4_3(surfaces):
     _require(surfaces, "cubic_scroll", "del_pezzo_4")
-    t0 = time.time()
     dp = get_surface("del_pezzo_4")
     scroll = get_surface("cubic_scroll")
     general = elementary_biliaison(
@@ -557,12 +528,11 @@ def _ex4_3(surfaces):
             ["one_parameter"], "paper", "infinitely many trisecants"
         ),
     }
-    return _report("ex4.3", "Example 4.3", computed, references, t0)
+    return "Example 4.3", computed, references
 
 
 def _ex4_4(surfaces):
     _require(surfaces, "castelnuovo_5", "del_pezzo_4")
-    t0 = time.time()
     c5 = get_surface("castelnuovo_5")
     dp = get_surface("del_pezzo_4")
     via_castelnuovo = elementary_biliaison(
@@ -595,12 +565,11 @@ def _ex4_4(surfaces):
         "castelnuovo_start_degree": RefValue(2, "paper", "minimal curve of degree 2"),
         "del_pezzo_start_degree": RefValue(3, "paper", "minimal curve of degree 3"),
     }
-    return _report("ex4.4", "Example 4.4", computed, references, t0)
+    return "Example 4.4", computed, references
 
 
 def _ex4_5(surfaces):
     _require(surfaces, "cubic_scroll", "bordiga_6")
-    t0 = time.time()
     scroll = get_surface("cubic_scroll")
     bordiga = get_surface("bordiga_6")
     start = CurveRecord.on_surface(
@@ -611,7 +580,7 @@ def _ex4_5(surfaces):
     )
     if isinstance(res, SearchFailure):
         computed = {"steps": None, "search_explored": res.explored}
-        return _report("ex4.5", "Example 4.5", computed, _EX4_5_REFS, t0)
+        return "Example 4.5", computed, _EX4_5_REFS
     final = res.end
     final_cls = final.witness.cls
     computed = {
@@ -625,7 +594,7 @@ def _ex4_5(surfaces):
         "general_curve_escapes_bordiga": family_dimension(bordiga, final_cls)
         < hilbert_dim_lower_bound(11, 7),
     }
-    return _report("ex4.5", "Example 4.5", computed, _EX4_5_REFS, t0)
+    return "Example 4.5", computed, _EX4_5_REFS
 
 
 _EX4_5_REFS = {
@@ -642,7 +611,6 @@ _EX4_5_REFS = {
 
 
 def _prop4_7(surfaces):
-    t0 = time.time()
     twisted_cubic = CurveRecord.abstract(3, 0, rao=RaoTag.zero(), provenance="twisted_cubic")
     a = lesperance_curve("a", 2)
     b = lesperance_curve("b", 2, 2)
@@ -661,11 +629,10 @@ def _prop4_7(surfaces):
         "type_c_b1_equals_type_a": RefValue(True, "paper", "b = 1 recovers type a"),
         "type_d": RefValue([4, -1, "M_2@0"], "paper", "line plus a twisted cubic"),
     }
-    return _report("prop4.7", "Proposition 4.7", computed, references, t0)
+    return "Proposition 4.7", computed, references
 
 
 def _ex4_8(surfaces):
-    t0 = time.time()
     two_conics = lesperance_curve("b", 2, 2)
     line_twisted = lesperance_curve(
         "d", 2, acm_curve=CurveRecord.abstract(3, 0, rao=RaoTag.zero())
@@ -687,12 +654,11 @@ def _ex4_8(surfaces):
         "same_numerics": RefValue(True, "paper", "both minimal with module M_2"),
         "distinct_constructions": RefValue(True, "paper", "two irreducible families"),
     }
-    return _report("ex4.8", "Example 4.8", computed, references, t0)
+    return "Example 4.8", computed, references
 
 
 def _ex4_10(surfaces):
     _require(surfaces, "del_pezzo_4")
-    t0 = time.time()
     dp = get_surface("del_pezzo_4")
     conic = DivisorClass.blownup((1, 1, 0, 0, 0, 0))
     c1 = CurveRecord.on_surface(
@@ -758,7 +724,7 @@ def _ex4_10(surfaces):
             True, "paper", "general (8,3) curve does not lie on this surface"
         ),
     }
-    return _report("ex4.10", "Example 4.10", computed, references, t0)
+    return "Example 4.10", computed, references
 
 
 REGISTRY = {
@@ -786,7 +752,9 @@ def experiment_ids() -> tuple[str, ...]:
 
 
 def run_experiment(experiment_id: str, surfaces=None) -> ExperimentReport:
-    """Run one registered experiment and compare against its references.
+    """Run one registered experiment, time it with ``time.perf_counter``
+    and compare its values against its references.  Each registered
+    function returns ``(anchor, computed, references)``.
 
     ``surfaces`` optionally restricts the catalog surfaces the experiment
     may touch; an empty set is invalid input.
@@ -800,7 +768,24 @@ def run_experiment(experiment_id: str, surfaces=None) -> ExperimentReport:
         surfaces = set(surfaces)
         if not surfaces:
             raise InvalidInvocationError("empty surface set")
-    return REGISTRY[experiment_id](surfaces)
+    started = time.perf_counter()
+    anchor, computed, references = REGISTRY[experiment_id](surfaces)
+    runtime = time.perf_counter() - started
+    computed = {k: _jnorm(v) for k, v in computed.items()}
+    matches = {}
+    for key, ref in references.items():
+        if key in computed:
+            matches[key] = computed[key] == ref.value
+        else:
+            matches[key] = None  # display-only reference
+    return ExperimentReport(
+        experiment_id=experiment_id,
+        anchor=anchor,
+        computed=computed,
+        references=references,
+        matches=matches,
+        runtime_seconds=round(runtime, 6),
+    )
 
 
 def divisor_eval(surface_id: str, coeffs, catalog_path: str | None = None) -> dict:

@@ -19,7 +19,6 @@ from .hvectors import (
     HVector,
     generic_points_h_vector,
     growth_envelope,
-    is_gorenstein_h_vector,
     link_h_vector,
     macaulay_bound,
 )
@@ -30,19 +29,21 @@ DEFAULT_SOCLE_BOUND = 12
 @lru_cache(maxsize=None)
 def _gorenstein_h_vectors(codim: int, max_mass: int, socle_bound: int) -> tuple[HVector, ...]:
     """All Gorenstein h-vectors of the codimension with mass <= max_mass
-    and socle degree <= socle_bound, in lexicographic order."""
+    and socle degree <= socle_bound, in lexicographic order.
+
+    Each vector is the symmetric completion of a first half whose first
+    difference is built as an O-sequence with h(1) <= codim, so it is an
+    SI-sequence by construction; ``is_gorenstein_h_vector`` stays the
+    test oracle."""
     found = []
 
     def build(first_half, s):
-        m = s // 2
         if s % 2 == 0:
             full = first_half + tuple(reversed(first_half[:-1]))
         else:
             full = first_half + tuple(reversed(first_half))
         if sum(full) <= max_mass:
-            h = HVector(full, ambient_codim=codim)
-            if is_gorenstein_h_vector(h):
-                found.append(h)
+            found.append(HVector(full, ambient_codim=codim))
 
     def extend(diffs, half, s):
         m = s // 2
@@ -167,7 +168,6 @@ def glicci_chain(
     max_intermediate: int | None = None,
     socle_bound: int = DEFAULT_SOCLE_BOUND,
     surface_degree: int | None = None,
-    workers: int = 1,
 ):
     """Shortest chain of Gorenstein links from n general points down to a
     single point, or a :class:`GlicciFailure` report.
@@ -175,17 +175,19 @@ def glicci_chain(
     ``mode`` is ``full`` (bidirectional search, ascending links allowed)
     or ``descending_only``.  ``surface_degree`` constrains every
     configuration and every linking scheme to lie on a surface of that
-    degree (P3 only).  The result is independent of ``workers``.
+    degree (P3 only).
+
+    The search is deterministic: each level walks its frontier in
+    ascending point count, and the first move that reaches a new count
+    becomes that count's parent.
     """
     if n < 1:
         raise LiaisonkitError("need at least one point")
     if ambient not in AMBIENT_CODIM:
         raise LiaisonkitError(f"ambient must be P2 or P3, got {ambient!r}")
-    if mode not in ("full", "descending_only", "descending"):
+    if mode not in ("full", "descending_only"):
         raise LiaisonkitError(f"unknown mode {mode!r}")
-    if workers < 1:
-        raise LiaisonkitError("workers must be >= 1")
-    descending = mode != "full"
+    descending = mode == "descending_only"
     if max_intermediate is None:
         max_intermediate = 3 * n
 
@@ -202,28 +204,17 @@ def glicci_chain(
             generator, m, max_intermediate, socle_bound, descending, envelope
         )
 
-    def bfs_levels(frontier, dist, parent, other_dist, workers):
-        """One BFS level with canonical partition-invariant expansion.
-        Returns (new_frontier, meeting_states)."""
-        chunks = [frontier[i::workers] for i in range(workers)]
-        produced: dict[int, tuple[int, HVector]] = {}
-        for chunk in chunks:
-            for m in chunk:
-                for m2, w in moves(m):
-                    if m2 in dist:
-                        continue
-                    prev = produced.get(m2)
-                    if prev is None or (m, w.entries) < (prev[0], prev[1].entries):
-                        produced[m2] = (m, w)
+    def expand(frontier, dist, parent, other_dist):
+        """One BFS level.  Returns (new_frontier, meeting_states)."""
         new_frontier = []
-        meets = []
-        for m2 in sorted(produced):
-            dist[m2] = dist[produced[m2][0]] + 1
-            parent[m2] = produced[m2]
-            new_frontier.append(m2)
-            if m2 in other_dist:
-                meets.append(m2)
-        return new_frontier, meets
+        for m in frontier:
+            for m2, w in moves(m):
+                if m2 not in dist:
+                    dist[m2] = dist[m] + 1
+                    parent[m2] = (m, w)
+                    new_frontier.append(m2)
+        new_frontier.sort()
+        return new_frontier, [m2 for m2 in new_frontier if m2 in other_dist]
 
     start = n
     goal = 1
@@ -248,15 +239,15 @@ def glicci_chain(
         # unidirectional: only downward moves are legal, so search from n
         while front_a and not meets:
             explored += len(front_a)
-            front_a, meets = bfs_levels(front_a, dist_a, parent_a, dist_b, workers)
+            front_a, meets = expand(front_a, dist_a, parent_a, dist_b)
     else:
         while front_a and front_b and not meets:
             if len(front_a) <= len(front_b):
                 explored += len(front_a)
-                front_a, meets = bfs_levels(front_a, dist_a, parent_a, dist_b, workers)
+                front_a, meets = expand(front_a, dist_a, parent_a, dist_b)
             else:
                 explored += len(front_b)
-                front_b, meets = bfs_levels(front_b, dist_b, parent_b, dist_a, workers)
+                front_b, meets = expand(front_b, dist_b, parent_b, dist_a)
 
     if not meets:
         return GlicciFailure(

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 from math import comb
 
 from .errors import CharacterError, LiaisonkitError, LinkageError
 
-AMBIENT_CODIM = {"P2": 2, "P3": 3, "p2": 2, "p3": 3}
+AMBIENT_CODIM = {"P2": 2, "P3": 3}
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,19 @@ def is_O_sequence(h) -> bool:
     return _growth_ok(seq)
 
 
+def _caps(r: int, surface_degree: int | None):
+    """Lazy pointwise caps h(0), h(1), ... on the h-vector of points in
+    codimension ``r``: the dimension of the degree-i forms, lowered to the
+    Hilbert function of a degree-e surface when ``surface_degree = e``."""
+    section = 0
+    for i in count():
+        cap = comb(i + r - 1, r - 1)
+        if surface_degree is not None:
+            section += min(i + 1, surface_degree)
+            cap = min(cap, section)
+        yield cap
+
+
 def generic_points_h_vector(
     n: int, ambient: str = "P3", surface_degree: int | None = None
 ) -> HVector:
@@ -116,17 +130,12 @@ def generic_points_h_vector(
         raise LiaisonkitError("surface constraint applies to P3 only")
     entries = []
     remaining = n
-    i = 0
-    section = 0
-    while remaining > 0:
-        cap = comb(i + r - 1, r - 1)
-        if surface_degree is not None:
-            section += min(i + 1, surface_degree)
-            cap = min(cap, section)
+    for cap in _caps(r, surface_degree):
+        if remaining == 0:
+            break
         take = min(cap, remaining)
         entries.append(take)
         remaining -= take
-        i += 1
     return HVector(tuple(entries), ambient_codim=r)
 
 
@@ -135,16 +144,7 @@ def growth_envelope(
 ) -> tuple[int, ...]:
     """Pointwise caps on h-vector entries of point sets in the ambient
     space, optionally constrained to a degree-e surface (P3 only)."""
-    r = AMBIENT_CODIM[ambient]
-    caps = []
-    section = 0
-    for i in range(length):
-        cap = comb(i + r - 1, r - 1)
-        if surface_degree is not None:
-            section += min(i + 1, surface_degree)
-            cap = min(cap, section)
-        caps.append(cap)
-    return tuple(caps)
+    return tuple(islice(_caps(AMBIENT_CODIM[ambient], surface_degree), length))
 
 
 def is_gorenstein_h_vector(h: HVector) -> bool:

@@ -107,20 +107,6 @@ class DivisorClass:
         return f"({a};{','.join(str(x) for x in b)})" if b else f"({a};)"
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
-    """The symmetric bilinear pairing attached to a lattice family."""
-
-    basis: str
-
-    def pair(self, d1: DivisorClass, d2: DivisorClass) -> int:
-        if d1.basis != self.basis:
-            raise BasisMismatchError(
-                f"form is over {self.basis}, classes over {d1.basis}"
-            )
-        return intersect(d1, d2)
-
-
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection number of two classes in the same lattice.
 

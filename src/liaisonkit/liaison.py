@@ -48,19 +48,19 @@ class ChainStep:
     kind: str
     before: CurveRecord
     after: CurveRecord
-    surface_id: str | None = None
     h: int | None = None
     m: int | None = None
     ci: tuple[int, int] | None = None
 
     def describe(self) -> str:
-        if self.kind == BILIAISON:
-            return f"biliaison h={self.h} on {self.surface_id}"
-        if self.kind == G_LINK:
-            return f"g_link m={self.m} on {self.surface_id}"
         if self.kind == CI_LINK:
             return f"ci_link {self.ci}"
-        return f"rewitness on {self.surface_id}"
+        surface_id = self.after.witness_surface().id
+        if self.kind == BILIAISON:
+            return f"biliaison h={self.h} on {surface_id}"
+        if self.kind == G_LINK:
+            return f"g_link m={self.m} on {surface_id}"
+        return f"rewitness on {surface_id}"
 
 
 @dataclass(frozen=True)
@@ -284,15 +284,6 @@ def _default_surfaces() -> list[str]:
     )
 
 
-def _start_states(surface_ids) -> list[tuple[str, tuple[int, ...], RaoTag]]:
-    states = []
-    for sid in sorted(surface_ids):
-        surface = get_surface(sid)
-        for line in lines_on(surface).classes:
-            states.append((sid, line.coeffs, RaoTag.zero()))
-    return states
-
-
 def ascending_chain_search(
     target,
     surfaces=None,
@@ -300,7 +291,6 @@ def ascending_chain_search(
     max_steps: int = 8,
     starts: list[CurveRecord] | None = None,
     h_max: int = 3,
-    workers: int = 1,
 ):
     """Breadth-first search for a liaison chain reaching ``target``.
 
@@ -311,18 +301,21 @@ def ascending_chain_search(
     zero-cost re-witness hops through the shipped table.  Starts default
     to every line class on every allowed surface.
 
-    The result is independent of ``workers``: the frontier is expanded in
-    canonical order and partitions are merged canonically before any
-    selection is made.  Failure is a value (:class:`SearchFailure`).
+    The search is deterministic: each level walks its frontier in sorted
+    state order, each state's moves in a fixed order, and the first move
+    that reaches a new state becomes its parent.  The lowest sorted state
+    that matches the target ends the search.  So the order of ``surfaces``
+    does not change the chain, nor does the order of ``starts`` unless two
+    starts share a class with different Rao tags (the first one listed
+    wins).  Failure is a value (:class:`SearchFailure`).
     """
     if max_steps < 1:
         raise LiaisonkitError("max_steps must be >= 1")
-    if workers < 1:
-        raise LiaisonkitError("workers must be >= 1")
     surface_ids = sorted(surfaces) if surfaces is not None else _default_surfaces()
     if not surface_ids:
         raise LiaisonkitError("empty surface set")
     allowed = set(surface_ids)
+    models = {sid: get_surface(sid) for sid in surface_ids}
 
     if isinstance(target, tuple) and len(target) == 2 and all(
         isinstance(x, int) for x in target
@@ -331,17 +324,16 @@ def ascending_chain_search(
         target_state = None
     else:
         sid, cls = target
-        surface = get_surface(sid)
-        target_dg = (degree(cls, surface), None)
+        target_dg = (degree(cls, get_surface(sid)), None)
         target_state = (sid, cls.coeffs)
 
     degree_cap = target_dg[0] if ascending_only else target_dg[0] + 2 * max(
-        get_surface(s).degree for s in surface_ids
+        s.degree for s in models.values()
     )
 
     def state_dg(state):
         sid, coeffs = state
-        s = get_surface(sid)
+        s = models[sid]
         c = DivisorClass.blownup(coeffs)
         return degree(c, s), arithmetic_genus(c, s)
 
@@ -352,17 +344,20 @@ def ascending_chain_search(
 
     # seed states with their Rao tags (tags ride along for reconstruction)
     if starts is None:
-        seeds = _start_states(surface_ids)
+        seeds = [
+            (sid, line.coeffs, RaoTag.zero())
+            for sid, surface in models.items()
+            for line in lines_on(surface).classes
+        ]
     else:
         seeds = []
         for rec in starts:
             if rec.witness is None:
                 raise MissingWitnessError("search seeds need witnessed curves")
-            if rec.witness.surface_id not in allowed:
-                raise LiaisonkitError(
-                    f"seed surface {rec.witness.surface_id} not in the allowed set"
-                )
-            seeds.append((rec.witness.surface_id, rec.witness.cls.coeffs, rec.rao))
+            surface = rec.witness.surface
+            if models.get(surface.id) != surface:
+                raise LiaisonkitError(f"seed surface {surface.id} not in the allowed set")
+            seeds.append((surface.id, rec.witness.cls.coeffs, rec.rao))
 
     tags = {}
     parents: dict[tuple[str, tuple[int, ...]], tuple] = {}
@@ -398,7 +393,7 @@ def ascending_chain_search(
     for sid, coeffs, tag in sorted(seeds, key=lambda t: (t[0], t[1])):
         add_state((sid, coeffs), tag, None, None, 0, frontier)
     frontier += closure(frontier, 0)
-    frontier = sorted(set(frontier))
+    frontier.sort()
 
     explored = 0
     frontier_sizes = [len(frontier)]
@@ -409,114 +404,86 @@ def ascending_chain_search(
         cur = state
         while parents[cur][0] is not None:
             prev, move = parents[cur]
-            moves.append((prev, move, cur))
+            moves.append((move, cur))
             cur = prev
         moves.reverse()
         sid0, coeffs0 = cur
         record = CurveRecord.on_surface(
-            sid0, DivisorClass.blownup(coeffs0), rao=tags[cur], provenance="start"
+            models[sid0], DivisorClass.blownup(coeffs0), rao=tags[cur], provenance="start"
         )
         steps = []
-        for prev, move, nxt in moves:
-            kind, payload = move
+        for (kind, payload), (sid, coeffs) in moves:
             if kind == BILIAISON:
                 after = elementary_biliaison(record, payload)
-                steps.append(
-                    ChainStep(
-                        BILIAISON,
-                        before=record,
-                        after=after,
-                        surface_id=prev[0],
-                        h=payload,
-                    )
-                )
+                step = ChainStep(BILIAISON, before=record, after=after, h=payload)
             elif kind == G_LINK:
                 after = g_link_on_surface(record, payload)
-                steps.append(
-                    ChainStep(
-                        G_LINK, before=record, after=after, surface_id=prev[0], m=payload
-                    )
-                )
+                step = ChainStep(G_LINK, before=record, after=after, m=payload)
             else:  # rewitness
-                sid, coeffs = nxt
                 after = CurveRecord.on_surface(
-                    sid,
+                    models[sid],
                     DivisorClass.blownup(coeffs),
                     rao=record.rao,
                     provenance=f"{record.provenance}~@{sid}",
                 )
                 if after.dg != record.dg:
                     raise LiaisonkitError("rewitness changed (d,g)")
-                steps.append(
-                    ChainStep(REWITNESS, before=record, after=after, surface_id=sid)
-                )
-            record = steps[-1].after
+                step = ChainStep(REWITNESS, before=record, after=after)
+            steps.append(step)
+            record = after
         return Chain(tuple(steps), ascending_only=ascending_only)
 
-    hits = sorted(s for s in depth_of if matches(s))
-    if hits:
-        return finish(hits[0])
+    def moves_from(state):
+        sid, coeffs = state
+        surface = models[sid]
+        cls = DivisorClass.blownup(coeffs)
+        d = degree(cls, surface)
+        if ascending_only:
+            h_range = range(1, (degree_cap - d) // surface.degree + 1)
+        else:
+            h_range = [h for h in range(-h_max, h_max + 1) if h != 0]
+        for h in h_range:
+            cand = cls + h * surface.H
+            if degree(cand, surface) > degree_cap or degree(cand, surface) < 1:
+                continue
+            if any(abs(c) > _COEFF_BOX for c in cand.coeffs):
+                logger.info("pruned %s on %s: coefficient box", cand, sid)
+                continue
+            if not is_effective_candidate(surface, cand):
+                logger.info("pruned %s on %s: effectivity screen", cand, sid)
+                continue
+            yield (BILIAISON, h), (sid, cand.coeffs), tags[state].shifted(h)
+        if not ascending_only:
+            hk = intersect(surface.H, surface.K)
+            for m in range(1, h_max + 2):
+                res_deg = m * surface.degree - hk - d
+                if res_deg < 1 or res_deg > degree_cap:
+                    continue
+                cand = m * surface.H - surface.K - cls
+                if any(abs(c) > _COEFF_BOX for c in cand.coeffs):
+                    continue
+                if not is_effective_candidate(surface, cand):
+                    continue
+                yield (G_LINK, m), (sid, cand.coeffs), tags[state].linked(m)
+
+    hit = next((s for s in frontier if matches(s)), None)
+    if hit is not None:
+        return finish(hit)
 
     for depth in range(1, max_steps + 1):
-        chunks = [frontier[i::workers] for i in range(workers)]
-        produced: dict = {}
-        for chunk in chunks:
-            for state in chunk:
-                explored += 1
-                sid, coeffs = state
-                surface = get_surface(sid)
-                cls = DivisorClass.blownup(coeffs)
-                d = degree(cls, surface)
-                moves = []
-                if ascending_only:
-                    h_hi = (degree_cap - d) // surface.degree
-                    h_range = range(1, h_hi + 1)
-                else:
-                    h_range = [h for h in range(-h_max, h_max + 1) if h != 0]
-                for h in h_range:
-                    cand = cls + h * surface.H
-                    if degree(cand, surface) > degree_cap or degree(cand, surface) < 1:
-                        continue
-                    if any(abs(c) > _COEFF_BOX for c in cand.coeffs):
-                        logger.info("pruned %s on %s: coefficient box", cand, sid)
-                        continue
-                    if not is_effective_candidate(surface, cand):
-                        logger.info("pruned %s on %s: effectivity screen", cand, sid)
-                        continue
-                    moves.append(((BILIAISON, h), (sid, cand.coeffs), tags[state].shifted(h)))
-                if not ascending_only:
-                    hk = intersect(surface.H, surface.K)
-                    for m in range(1, h_max + 2):
-                        ag_deg = m * surface.degree - hk
-                        res_deg = ag_deg - d
-                        if res_deg < 1 or res_deg > degree_cap:
-                            continue
-                        cand = m * surface.H - surface.K - cls
-                        if any(abs(c) > _COEFF_BOX for c in cand.coeffs):
-                            continue
-                        if not is_effective_candidate(surface, cand):
-                            continue
-                        moves.append(
-                            ((G_LINK, m), (sid, cand.coeffs), tags[state].linked(m))
-                        )
-                for move, nxt, tag in moves:
-                    if nxt in depth_of:
-                        continue
-                    prev = produced.get(nxt)
-                    if prev is None or (state, move) < prev[:2]:
-                        produced[nxt] = (state, move, tag)
-        new_states = []
-        for nxt in sorted(produced):
-            state, move, tag = produced[nxt]
-            add_state(nxt, tag, state, move, depth, new_states)
+        new_states: list = []
+        for state in frontier:
+            explored += 1
+            for move, nxt, tag in moves_from(state):
+                add_state(nxt, tag, state, move, depth, new_states)
         new_states += closure(new_states, depth)
-        frontier = sorted(set(new_states))
+        frontier = sorted(new_states)
         frontier_sizes.append(len(frontier))
         if not frontier:
             break
-        hits = sorted(s for s in frontier if matches(s))
-        if hits:
-            return finish(hits[0])
+        hit = next((s for s in frontier if matches(s)), None)
+        if hit is not None:
+            return finish(hit)
 
     return SearchFailure(
         target=target,

@@ -153,13 +153,6 @@ def test_failure_is_a_value():
     assert not result.found
 
 
-def test_worker_invariance():
-    for n in (7, 18):
-        baseline = glicci_chain(n, workers=1)
-        for workers in (2, 3, 5):
-            assert glicci_chain(n, workers=workers) == baseline
-
-
 def test_input_validation():
     with pytest.raises(LiaisonkitError):
         glicci_chain(0)

@@ -8,7 +8,6 @@ import pytest
 from liaisonkit.errors import BasisMismatchError, InvalidClassError
 from liaisonkit.lattice import (
     DivisorClass,
-    IntersectionForm,
     arithmetic_genus,
     degree,
     expected_dim_linear_system,
@@ -82,13 +81,6 @@ def test_class_validation():
         DivisorClass("weird", (1,))
     with pytest.raises(InvalidClassError):
         B((1, 2)) * 1.5
-
-
-def test_form_type_wrapper():
-    form = IntersectionForm("blownup_plane")
-    assert form.pair(B((2, 1)), B((2, 1))) == 3
-    with pytest.raises(BasisMismatchError):
-        form.pair(Q((1, 1)), Q((1, 1)))
 
 
 def _random_class(rng, n):

@@ -23,7 +23,7 @@ from liaisonkit.liaison import (
     hilbert_dim_lower_bound,
     validate_rewitness_table,
 )
-from liaisonkit.surfaces import get_surface, load_catalog
+from liaisonkit.surfaces import get_surface, lines_on, load_catalog
 
 B = DivisorClass.blownup
 SCROLL = get_surface("cubic_scroll")
@@ -244,15 +244,24 @@ def test_search_rejects_bad_input():
         ascending_chain_search((5, 0), starts=[CurveRecord.abstract(2, -1)])
 
 
-def test_search_determinism_across_worker_counts():
-    targets = [(10, 9), (10, 6), (8, 5)]
-    for target in targets:
-        baseline = ascending_chain_search(target, max_steps=5, workers=1)
-        for workers in (2, 3, 4, 7):
-            again = ascending_chain_search(target, max_steps=5, workers=workers)
-            assert type(again) is type(baseline)
-            if isinstance(baseline, Chain):
-                assert again == baseline
+def test_search_is_invariant_under_input_order():
+    surfaces = ["bordiga_6", "castelnuovo_5", "cubic_scroll", "del_pezzo_4"]
+    starts = [
+        CurveRecord.on_surface(s, line, rao=RaoTag.zero())
+        for s in map(get_surface, surfaces)
+        for line in lines_on(s).classes
+    ]
+    rng = random.Random(46)
+    for target in [(10, 9), (10, 6), (8, 5)]:
+        baseline = ascending_chain_search(target, max_steps=5)
+        for _ in range(2):
+            perm_surfaces, perm_starts = surfaces[:], starts[:]
+            rng.shuffle(perm_surfaces)
+            rng.shuffle(perm_starts)
+            again = ascending_chain_search(
+                target, surfaces=perm_surfaces, starts=perm_starts, max_steps=5
+            )
+            assert again == baseline
 
 
 def test_chain_shift_telescopes():
@@ -270,11 +279,11 @@ def test_chain_rejects_inconsistent_records():
     other = CurveRecord.on_surface(SCROLL, B((1, 1)), rao=RaoTag.zero())
     from liaisonkit.liaison import ChainStep
 
-    bogus = ChainStep("biliaison", before=other, after=c1, surface_id="cubic_scroll", h=3)
+    bogus = ChainStep("biliaison", before=other, after=c1, h=3)
     with pytest.raises(LiaisonkitError):
         Chain((step, bogus))
     with pytest.raises(LiaisonkitError):
-        Chain((ChainStep("g_link", before=l1, after=c1, surface_id="cubic_scroll", m=1),))
+        Chain((ChainStep("g_link", before=l1, after=c1, m=1),))
 
 
 def test_descending_search_mode():
