@@ -185,12 +185,9 @@ def _render_report(report, fmt: str) -> str:
 
 def _cmd_experiment_run(args) -> int:
     ids = list(experiment_ids()) if args.id == "all" else [args.id]
-    surfaces = args.surfaces.split(",") if args.surfaces is not None else None
-    if args.surfaces == "":
-        raise InvalidInvocationError("empty surface set")
     ok = True
     for eid in ids:
-        report = run_experiment(eid, surfaces=surfaces)
+        report = run_experiment(eid)
         print(_render_report(report, args.format))
         ok = ok and report.all_match
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -249,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = exp_sub.add_parser("run", help="run one experiment or 'all'")
     p_run.add_argument("id", help=f"'all' or one of: {', '.join(experiment_ids())}")
     p_run.add_argument("--format", choices=("table", "json"), default="table")
-    p_run.add_argument("--surfaces", default=None)
     p_run.set_defaults(func=_cmd_experiment_run)
 
     return parser

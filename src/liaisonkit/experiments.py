@@ -20,6 +20,7 @@ from math import comb
 from .errors import InvalidInvocationError
 from .lattice import (
     DivisorClass,
+    arithmetic_genus,
     degree,
     expected_dim_linear_system,
     intersect,
@@ -123,23 +124,12 @@ class ExperimentReport:
         )
 
 
-def _require(surfaces, *needed):
-    if surfaces is None:
-        return
-    missing = [s for s in needed if s not in surfaces]
-    if missing:
-        raise InvalidInvocationError(
-            f"experiment needs surfaces {missing}, allowed set is {sorted(surfaces)}"
-        )
-
-
 # --------------------------------------------------------------------------
 # individual experiments
 # --------------------------------------------------------------------------
 
 
-def _ex3_2(surfaces):
-    _require(surfaces, "cubic_scroll")
+def _ex3_2():
     scroll = get_surface("cubic_scroll")
     l1 = CurveRecord.on_surface(scroll, DivisorClass.blownup((0, -1)), rao=RaoTag.zero())
     l2 = CurveRecord.on_surface(scroll, DivisorClass.blownup((1, 1)), rao=RaoTag.zero())
@@ -179,8 +169,7 @@ def _ex3_2(surfaces):
     return "Example 3.2", computed, references
 
 
-def _ex3_4(surfaces):
-    _require(surfaces, "bordiga_6")
+def _ex3_4():
     bordiga = get_surface("bordiga_6")
     ls = [
         DivisorClass.blownup((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1)),
@@ -219,8 +208,7 @@ def _ex3_4(surfaces):
     return "Example 3.4", computed, references
 
 
-def _ex3_6(surfaces):
-    _require(surfaces, "cubic_scroll", "bordiga_6")
+def _ex3_6():
     scroll = get_surface("cubic_scroll")
     bordiga = get_surface("bordiga_6")
     c_10_9 = DivisorClass.blownup((6, 2))
@@ -252,7 +240,7 @@ def _ex3_6(surfaces):
     return "Example 3.6", computed, references
 
 
-def _prop2_1(surfaces):
+def _prop2_1():
     lengths = {}
     ok = True
     for n in range(1, 31):
@@ -282,8 +270,7 @@ def _prop2_1(surfaces):
     return "Proposition 2.1", computed, references
 
 
-def _prop2_2(surfaces):
-    _require(surfaces, "quadric_p3")
+def _prop2_2():
     quadric = get_surface("quadric_p3")
     acm_degrees = []
     for c in range(1, 6):
@@ -318,7 +305,7 @@ def _prop2_2(surfaces):
     return "Proposition 2.2", computed, references
 
 
-def _prop2_3(surfaces):
+def _prop2_3():
     ok = True
     n18 = None
     for n in range(1, 20):
@@ -347,7 +334,7 @@ def _prop2_3(surfaces):
     return "Proposition 2.3", computed, references
 
 
-def _cor2_4(surfaces):
+def _cor2_4():
     full_ok = True
     cubic_ok = True
     for n in range(1, 20):
@@ -382,8 +369,6 @@ def acm_candidate_pairs(surface_ids, max_degree=9):
     """(d, g) pairs admitted by the catalog enumeration: some class on an
     allowed surface passes the effectivity and nondegeneracy screens and
     the pair carries an integral-type ACM h-vector."""
-    from .lattice import arithmetic_genus
-
     pairs = set()
     for sid in sorted(surface_ids):
         surface = get_surface(sid)
@@ -406,9 +391,8 @@ def acm_candidate_pairs(surface_ids, max_degree=9):
     return sorted(pairs)
 
 
-def _prop3_1(surfaces):
+def _prop3_1():
     trio = ("cubic_scroll", "del_pezzo_4", "castelnuovo_5")
-    _require(surfaces, *trio, "bordiga_6")
     admitted = acm_candidate_pairs(trio)
     chains = {}
     ok = True
@@ -445,7 +429,7 @@ def _prop3_1(surfaces):
     return "Proposition 3.1", computed, references
 
 
-def _prop4_1(surfaces):
+def _prop4_1():
     rows = []
     for d in range(2, 9):
         rec = minimal_curve_M_k(d)
@@ -464,8 +448,7 @@ def _prop4_1(surfaces):
     return "Proposition 4.1", computed, references
 
 
-def _ex4_2(surfaces):
-    _require(surfaces, "cubic_scroll")
+def _ex4_2():
     scroll = get_surface("cubic_scroll")
     start = CurveRecord.on_surface(
         scroll, DivisorClass.blownup((2, 2)), rao=RaoTag.simple_k(0)
@@ -488,8 +471,7 @@ def _ex4_2(surfaces):
     return "Example 4.2", computed, references
 
 
-def _ex4_3(surfaces):
-    _require(surfaces, "cubic_scroll", "del_pezzo_4")
+def _ex4_3():
     dp = get_surface("del_pezzo_4")
     scroll = get_surface("cubic_scroll")
     general = elementary_biliaison(
@@ -531,8 +513,7 @@ def _ex4_3(surfaces):
     return "Example 4.3", computed, references
 
 
-def _ex4_4(surfaces):
-    _require(surfaces, "castelnuovo_5", "del_pezzo_4")
+def _ex4_4():
     c5 = get_surface("castelnuovo_5")
     dp = get_surface("del_pezzo_4")
     via_castelnuovo = elementary_biliaison(
@@ -568,8 +549,7 @@ def _ex4_4(surfaces):
     return "Example 4.4", computed, references
 
 
-def _ex4_5(surfaces):
-    _require(surfaces, "cubic_scroll", "bordiga_6")
+def _ex4_5():
     scroll = get_surface("cubic_scroll")
     bordiga = get_surface("bordiga_6")
     start = CurveRecord.on_surface(
@@ -610,7 +590,7 @@ _EX4_5_REFS = {
 }
 
 
-def _prop4_7(surfaces):
+def _prop4_7():
     twisted_cubic = CurveRecord.abstract(3, 0, rao=RaoTag.zero(), provenance="twisted_cubic")
     a = lesperance_curve("a", 2)
     b = lesperance_curve("b", 2, 2)
@@ -632,7 +612,7 @@ def _prop4_7(surfaces):
     return "Proposition 4.7", computed, references
 
 
-def _ex4_8(surfaces):
+def _ex4_8():
     two_conics = lesperance_curve("b", 2, 2)
     line_twisted = lesperance_curve(
         "d", 2, acm_curve=CurveRecord.abstract(3, 0, rao=RaoTag.zero())
@@ -657,8 +637,7 @@ def _ex4_8(surfaces):
     return "Example 4.8", computed, references
 
 
-def _ex4_10(surfaces):
-    _require(surfaces, "del_pezzo_4")
+def _ex4_10():
     dp = get_surface("del_pezzo_4")
     conic = DivisorClass.blownup((1, 1, 0, 0, 0, 0))
     c1 = CurveRecord.on_surface(
@@ -751,25 +730,18 @@ def experiment_ids() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
-def run_experiment(experiment_id: str, surfaces=None) -> ExperimentReport:
+def run_experiment(experiment_id: str) -> ExperimentReport:
     """Run one registered experiment, time it with ``time.perf_counter``
     and compare its values against its references.  Each registered
     function returns ``(anchor, computed, references)``.
-
-    ``surfaces`` optionally restricts the catalog surfaces the experiment
-    may touch; an empty set is invalid input.
     """
     if experiment_id not in REGISTRY:
         raise InvalidInvocationError(
             f"unknown experiment {experiment_id!r}; registered ids: "
             + ", ".join(REGISTRY)
         )
-    if surfaces is not None:
-        surfaces = set(surfaces)
-        if not surfaces:
-            raise InvalidInvocationError("empty surface set")
     started = time.perf_counter()
-    anchor, computed, references = REGISTRY[experiment_id](surfaces)
+    anchor, computed, references = REGISTRY[experiment_id]()
     runtime = time.perf_counter() - started
     computed = {k: _jnorm(v) for k, v in computed.items()}
     matches = {}

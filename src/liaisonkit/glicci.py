@@ -22,6 +22,7 @@ from .hvectors import (
     link_h_vector,
     macaulay_bound,
 )
+from .search import expand, path_to
 
 DEFAULT_SOCLE_BOUND = 12
 
@@ -126,39 +127,10 @@ class GlicciFailure:
     n: int
     explored: int
     bounds: dict = field(default_factory=dict)
-    message: str = "no glicci chain inside the search bounds"
 
     @property
     def found(self) -> bool:
         return False
-
-
-def _edges(generator, m, max_intermediate, socle_bound, descending_only, envelope=None):
-    """Deterministic link moves from the m-point generic configuration:
-    list of (m_next, w), keeping the lexicographically first w per target.
-    With an ``envelope`` the linking scheme must fit under the constrained
-    growth caps (points on a fixed surface)."""
-    z = generator(m)
-    targets: dict[int, HVector] = {}
-    for w in ag_candidates_containing(z, max_intermediate, socle_bound):
-        if envelope is not None and any(
-            v > envelope[i] for i, v in enumerate(w.entries)
-        ):
-            continue
-        try:
-            res = link_h_vector(z, w)
-        except LinkageError:
-            continue
-        m2 = res.mass
-        if m2 > max_intermediate:
-            continue
-        if descending_only and m2 >= m:
-            continue
-        if res.entries != generator(m2).entries:
-            continue  # admissibility: generic stays generic
-        if m2 not in targets:
-            targets[m2] = w
-    return sorted(targets.items())
 
 
 def glicci_chain(
@@ -177,9 +149,9 @@ def glicci_chain(
     configuration and every linking scheme to lie on a surface of that
     degree (P3 only).
 
-    The search is deterministic: each level walks its frontier in
-    ascending point count, and the first move that reaches a new count
-    becomes that count's parent.
+    States are point counts.  Levels follow the determinism rule of
+    :mod:`liaisonkit.search`; a move from m points links through the
+    lexicographically first Gorenstein h-vector that reaches each count.
     """
     if n < 1:
         raise LiaisonkitError("need at least one point")
@@ -200,54 +172,48 @@ def glicci_chain(
         envelope = None
 
     def moves(m):
-        return _edges(
-            generator, m, max_intermediate, socle_bound, descending, envelope
-        )
+        """(w, m_next) link moves from the m-point generic configuration,
+        by ascending m_next, keeping the lexicographically first w per
+        target.  With an ``envelope`` the linking scheme must fit under
+        the constrained growth caps (points on a fixed surface)."""
+        z = generator(m)
+        targets: dict[int, HVector] = {}
+        for w in ag_candidates_containing(z, max_intermediate, socle_bound):
+            if envelope is not None and any(
+                v > envelope[i] for i, v in enumerate(w.entries)
+            ):
+                continue
+            try:
+                res = link_h_vector(z, w)
+            except LinkageError:
+                continue
+            m2 = res.mass
+            if m2 > max_intermediate:
+                continue
+            if descending and m2 >= m:
+                continue
+            if res.entries != generator(m2).entries:
+                continue  # admissibility: generic stays generic
+            if m2 not in targets:
+                targets[m2] = w
+        return [(w, m2) for m2, w in sorted(targets.items())]
 
-    def expand(frontier, dist, parent, other_dist):
-        """One BFS level.  Returns (new_frontier, meeting_states)."""
-        new_frontier = []
-        for m in frontier:
-            for m2, w in moves(m):
-                if m2 not in dist:
-                    dist[m2] = dist[m] + 1
-                    parent[m2] = (m, w)
-                    new_frontier.append(m2)
-        new_frontier.sort()
-        return new_frontier, [m2 for m2 in new_frontier if m2 in other_dist]
-
-    start = n
-    goal = 1
-    if start == goal:
-        state = generator(1)
-        return PointChain(
-            states=(state,),
-            links=(),
-            start_count=n,
-            monotone_descending=True,
-            max_intermediate_degree=state.mass,
-        )
-
-    dist_a = {start: 0}
-    dist_b = {goal: 0}
-    parent_a: dict[int, tuple[int, HVector]] = {}
-    parent_b: dict[int, tuple[int, HVector]] = {}
-    front_a, front_b = [start], [goal]
+    # links are involutions, so the goal side walks the same moves
+    parent_a = {n: None}
+    parent_b = {1: None}
+    front_a, front_b = [n], [1]
     explored = 0
-    meets: list[int] = []
-    if descending:
-        # unidirectional: only downward moves are legal, so search from n
-        while front_a and not meets:
+    meets = [m for m in front_a if m in parent_b]
+    while front_a and front_b and not meets:
+        # descending: only downward moves are legal, so search from n only
+        if descending or len(front_a) <= len(front_b):
             explored += len(front_a)
-            front_a, meets = expand(front_a, dist_a, parent_a, dist_b)
-    else:
-        while front_a and front_b and not meets:
-            if len(front_a) <= len(front_b):
-                explored += len(front_a)
-                front_a, meets = expand(front_a, dist_a, parent_a, dist_b)
-            else:
-                explored += len(front_b)
-                front_b, meets = expand(front_b, dist_b, parent_b, dist_a)
+            front_a = expand(front_a, parent_a, moves)
+            meets = [m for m in front_a if m in parent_b]
+        else:
+            explored += len(front_b)
+            front_b = expand(front_b, parent_b, moves)
+            meets = [m for m in front_b if m in parent_a]
 
     if not meets:
         return GlicciFailure(
@@ -262,34 +228,18 @@ def glicci_chain(
             },
         )
 
-    meet = min(meets, key=lambda m: (dist_a.get(m, 10**9) + dist_b.get(m, 10**9), m))
-
-    # stitch the two halves together: n ... meet ... 1
-    left: list[tuple[int, HVector | None]] = []
-    cur = meet
-    while cur != start:
-        prev, w = parent_a[cur]
-        left.append((cur, w))
-        cur = prev
-    left.append((start, None))
-    left.reverse()  # [(start, None), ..., (meet, w)]
-
-    seq: list[int] = [m for m, _ in left]
-    links: list[HVector] = [w for _, w in left[1:]]
-    cur = meet
-    while cur != goal:
-        prev, w = parent_b[cur]
-        # edge between cur and prev used link w (symmetric by involution)
-        seq.append(prev)
-        links.append(w)
-        cur = prev
-
+    meet = min(
+        meets, key=lambda m: (len(path_to(parent_a, m)) + len(path_to(parent_b, m)), m)
+    )
+    # n ... meet ... 1
+    left, right = path_to(parent_a, meet), path_to(parent_b, meet)
+    seq = [m for _, m in left] + [m for _, m in reversed(right[:-1])]
+    links = tuple(w for w, _ in left[1:]) + tuple(w for w, _ in reversed(right[1:]))
     states = tuple(generator(m) for m in seq)
-    link_tuple = tuple(links)
-    inter_masses = [w.mass for w in link_tuple] + [s.mass for s in states[1:-1]]
+    inter_masses = [w.mass for w in links] + [s.mass for s in states[1:-1]]
     chain = PointChain(
         states=states,
-        links=link_tuple,
+        links=links,
         start_count=n,
         monotone_descending=all(a > b for a, b in zip(seq, seq[1:])),
         max_intermediate_degree=max(inter_masses) if inter_masses else states[0].mass,

@@ -24,13 +24,14 @@ BLOWNUP_PLANE = "blownup_plane"
 QUADRIC = "quadric"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DivisorClass:
     """An integer divisor class in one of the supported lattices.
 
     ``basis`` is ``"blownup_plane"`` (coeffs ``(a, b_1..b_n)``) or
     ``"quadric"`` (coeffs ``(a, b)``).  Plain value semantics: equality is
-    structural, instances are hashable and immutable.
+    structural, instances are hashable and immutable, and classes of one
+    lattice sort like their coefficient tuples.
 
     >>> e1 = DivisorClass.blownup((0, -1, 0, 0, 0, 0))
     >>> intersect(e1, e1)

@@ -31,6 +31,7 @@ from .surfaces import (
     surface_family_dim,
 )
 from .curves import CurveRecord, RaoTag
+from .search import expand, path_to
 
 logger = logging.getLogger(__name__)
 
@@ -228,7 +229,7 @@ REWITNESS_TABLE: dict[tuple[int, int], tuple[tuple[str, tuple[int, ...]], ...]] 
 }
 
 
-def rewitness_targets(dg: tuple[int, int], allowed: set[str]) -> list[tuple[str, DivisorClass]]:
+def rewitness_targets(dg: tuple[int, int], allowed) -> list[tuple[str, DivisorClass]]:
     out = []
     for surface_id, coeffs in REWITNESS_TABLE.get(dg, ()):
         if surface_id in allowed:
@@ -237,8 +238,6 @@ def rewitness_targets(dg: tuple[int, int], allowed: set[str]) -> list[tuple[str,
 
 
 def validate_rewitness_table() -> None:
-    from .lattice import arithmetic_genus
-
     for dg, entries in REWITNESS_TABLE.items():
         for surface_id, coeffs in entries:
             s = get_surface(surface_id)
@@ -265,7 +264,6 @@ class SearchFailure:
     explored: int
     frontier_sizes: tuple[int, ...]
     bounds: dict = field(default_factory=dict)
-    message: str = "target not reached inside the search bounds"
 
     @property
     def found(self) -> bool:
@@ -290,31 +288,29 @@ def ascending_chain_search(
     ascending_only: bool = True,
     max_steps: int = 8,
     starts: list[CurveRecord] | None = None,
-    h_max: int = 3,
 ):
     """Breadth-first search for a liaison chain reaching ``target``.
 
     ``target`` is a (degree, genus) pair, or a (surface_id, DivisorClass)
-    pair for an exact class.  States are (surface, class) pairs; moves are
-    elementary biliaisons (heights >= 1 when ``ascending_only``, otherwise
-    nonzero heights in [-h_max, h_max] plus Gorenstein links), and
-    zero-cost re-witness hops through the shipped table.  Starts default
-    to every line class on every allowed surface.
+    pair for an exact class on one of ``surfaces``.  States are
+    (surface_id, DivisorClass) pairs; moves are elementary biliaisons
+    (heights >= 1 when ``ascending_only``, otherwise nonzero heights in
+    [-3, 3] plus Gorenstein links with twists m in [1, 4]), and zero-cost
+    re-witness hops through the shipped table.  Starts default to every
+    line class on every allowed surface.
 
-    The search is deterministic: each level walks its frontier in sorted
-    state order, each state's moves in a fixed order, and the first move
-    that reaches a new state becomes its parent.  The lowest sorted state
-    that matches the target ends the search.  So the order of ``surfaces``
-    does not change the chain, nor does the order of ``starts`` unless two
-    starts share a class with different Rao tags (the first one listed
-    wins).  Failure is a value (:class:`SearchFailure`).
+    Levels follow the determinism rule of :mod:`liaisonkit.search`, and
+    the lowest sorted state that matches the target ends the search.  So
+    the order of ``surfaces`` does not change the chain, nor does the
+    order of ``starts`` unless two starts share a class with different
+    Rao tags (the first one listed wins).  Failure is a value
+    (:class:`SearchFailure`).
     """
     if max_steps < 1:
         raise LiaisonkitError("max_steps must be >= 1")
     surface_ids = sorted(surfaces) if surfaces is not None else _default_surfaces()
     if not surface_ids:
         raise LiaisonkitError("empty surface set")
-    allowed = set(surface_ids)
     models = {sid: get_surface(sid) for sid in surface_ids}
 
     if isinstance(target, tuple) and len(target) == 2 and all(
@@ -324,95 +320,48 @@ def ascending_chain_search(
         target_state = None
     else:
         sid, cls = target
-        target_dg = (degree(cls, get_surface(sid)), None)
-        target_state = (sid, cls.coeffs)
+        if sid not in models:
+            raise LiaisonkitError(
+                f"target surface {sid} not in the allowed set {surface_ids}"
+            )
+        target_dg = (degree(cls, models[sid]), None)
+        target_state = (sid, cls)
 
     degree_cap = target_dg[0] if ascending_only else target_dg[0] + 2 * max(
         s.degree for s in models.values()
     )
 
     def state_dg(state):
-        sid, coeffs = state
-        s = models[sid]
-        c = DivisorClass.blownup(coeffs)
-        return degree(c, s), arithmetic_genus(c, s)
+        sid, cls = state
+        return degree(cls, models[sid]), arithmetic_genus(cls, models[sid])
 
-    def matches(state):
+    def first_match(states):
         if target_state is not None:
-            return state == target_state
-        return state_dg(state) == target_dg
+            return target_state if target_state in states else None
+        return next((s for s in states if state_dg(s) == target_dg), None)
 
-    # seed states with their Rao tags (tags ride along for reconstruction)
+    # Rao tags matter only at the root; the replay in finish derives the rest.
+    seed_tags = {}
     if starts is None:
-        seeds = [
-            (sid, line.coeffs, RaoTag.zero())
-            for sid, surface in models.items()
-            for line in lines_on(surface).classes
-        ]
+        for sid, surface in models.items():
+            for line in lines_on(surface).classes:
+                seed_tags[(sid, line)] = RaoTag.zero()
     else:
-        seeds = []
         for rec in starts:
             if rec.witness is None:
                 raise MissingWitnessError("search seeds need witnessed curves")
             surface = rec.witness.surface
             if models.get(surface.id) != surface:
                 raise LiaisonkitError(f"seed surface {surface.id} not in the allowed set")
-            seeds.append((surface.id, rec.witness.cls.coeffs, rec.rao))
-
-    tags = {}
-    parents: dict[tuple[str, tuple[int, ...]], tuple] = {}
-    depth_of: dict[tuple[str, tuple[int, ...]], int] = {}
-
-    def add_state(state, tag, parent, move, depth, new_bucket):
-        if state in depth_of:
-            return
-        depth_of[state] = depth
-        tags[state] = tag
-        parents[state] = (parent, move)
-        new_bucket.append(state)
-
-    def closure(bucket, depth):
-        """Apply zero-cost re-witness hops until stable, canonically."""
-        queue = sorted(bucket)
-        added = []
-        while queue:
-            state = queue.pop(0)
-            dg = state_dg(state)
-            for sid, cls in rewitness_targets(dg, allowed):
-                nxt = (sid, cls.coeffs)
-                if nxt == state or nxt in depth_of:
-                    continue
-                depth_of[nxt] = depth
-                tags[nxt] = tags[state]
-                parents[nxt] = (state, (REWITNESS, None))
-                queue.append(nxt)
-                added.append(nxt)
-        return added
-
-    frontier: list = []
-    for sid, coeffs, tag in sorted(seeds, key=lambda t: (t[0], t[1])):
-        add_state((sid, coeffs), tag, None, None, 0, frontier)
-    frontier += closure(frontier, 0)
-    frontier.sort()
-
-    explored = 0
-    frontier_sizes = [len(frontier)]
+            seed_tags.setdefault((surface.id, rec.witness.cls), rec.rao)
 
     def finish(state):
-        # rebuild the chain by replaying the recorded moves
-        moves = []
-        cur = state
-        while parents[cur][0] is not None:
-            prev, move = parents[cur]
-            moves.append((move, cur))
-            cur = prev
-        moves.reverse()
-        sid0, coeffs0 = cur
+        (_, root), *path = path_to(parent, state)
         record = CurveRecord.on_surface(
-            models[sid0], DivisorClass.blownup(coeffs0), rao=tags[cur], provenance="start"
+            models[root[0]], root[1], rao=seed_tags[root], provenance="start"
         )
         steps = []
-        for (kind, payload), (sid, coeffs) in moves:
+        for (kind, payload), (sid, cls) in path:
             if kind == BILIAISON:
                 after = elementary_biliaison(record, payload)
                 step = ChainStep(BILIAISON, before=record, after=after, h=payload)
@@ -422,7 +371,7 @@ def ascending_chain_search(
             else:  # rewitness
                 after = CurveRecord.on_surface(
                     models[sid],
-                    DivisorClass.blownup(coeffs),
+                    cls,
                     rao=record.rao,
                     provenance=f"{record.provenance}~@{sid}",
                 )
@@ -433,18 +382,21 @@ def ascending_chain_search(
             record = after
         return Chain(tuple(steps), ascending_only=ascending_only)
 
-    def moves_from(state):
-        sid, coeffs = state
+    def moves(state):
+        sid, cls = state
         surface = models[sid]
-        cls = DivisorClass.blownup(coeffs)
-        d = degree(cls, surface)
         if ascending_only:
-            h_range = range(1, (degree_cap - d) // surface.degree + 1)
+            top = (degree_cap - degree(cls, surface)) // surface.degree
+            candidates = [((BILIAISON, h), cls + h * surface.H) for h in range(1, top + 1)]
         else:
-            h_range = [h for h in range(-h_max, h_max + 1) if h != 0]
-        for h in h_range:
-            cand = cls + h * surface.H
-            if degree(cand, surface) > degree_cap or degree(cand, surface) < 1:
+            candidates = [
+                ((BILIAISON, h), cls + h * surface.H) for h in range(-3, 4) if h != 0
+            ]
+            candidates += [
+                ((G_LINK, m), m * surface.H - surface.K - cls) for m in range(1, 5)
+            ]
+        for move, cand in candidates:
+            if not 1 <= degree(cand, surface) <= degree_cap:
                 continue
             if any(abs(c) > _COEFF_BOX for c in cand.coeffs):
                 logger.info("pruned %s on %s: coefficient box", cand, sid)
@@ -452,38 +404,29 @@ def ascending_chain_search(
             if not is_effective_candidate(surface, cand):
                 logger.info("pruned %s on %s: effectivity screen", cand, sid)
                 continue
-            yield (BILIAISON, h), (sid, cand.coeffs), tags[state].shifted(h)
-        if not ascending_only:
-            hk = intersect(surface.H, surface.K)
-            for m in range(1, h_max + 2):
-                res_deg = m * surface.degree - hk - d
-                if res_deg < 1 or res_deg > degree_cap:
-                    continue
-                cand = m * surface.H - surface.K - cls
-                if any(abs(c) > _COEFF_BOX for c in cand.coeffs):
-                    continue
-                if not is_effective_candidate(surface, cand):
-                    continue
-                yield (G_LINK, m), (sid, cand.coeffs), tags[state].linked(m)
+            yield move, (sid, cand)
 
-    hit = next((s for s in frontier if matches(s)), None)
-    if hit is not None:
-        return finish(hit)
+    def rewitness(state):
+        # every state of one (d, g) has the same targets, so one pass closes
+        for nxt in rewitness_targets(state_dg(state), models):
+            yield (REWITNESS, None), nxt
 
-    for depth in range(1, max_steps + 1):
-        new_states: list = []
-        for state in frontier:
-            explored += 1
-            for move, nxt, tag in moves_from(state):
-                add_state(nxt, tag, state, move, depth, new_states)
-        new_states += closure(new_states, depth)
-        frontier = sorted(new_states)
+    parent = dict.fromkeys(seed_tags)
+    frontier = sorted(parent)
+    frontier = sorted(frontier + expand(frontier, parent, rewitness))
+    explored = 0
+    frontier_sizes = [len(frontier)]
+    hit = first_match(frontier)
+    while hit is None and len(frontier_sizes) <= max_steps:
+        explored += len(frontier)
+        new = expand(frontier, parent, moves)
+        frontier = sorted(new + expand(new, parent, rewitness))
         frontier_sizes.append(len(frontier))
         if not frontier:
             break
-        hit = next((s for s in frontier if matches(s)), None)
-        if hit is not None:
-            return finish(hit)
+        hit = first_match(frontier)
+    if hit is not None:
+        return finish(hit)
 
     return SearchFailure(
         target=target,

@@ -72,6 +72,7 @@ def test_glicci_json_output(capsys):
         ["biliaison", "chain", "--target", "10,9", "--ascending-only"],
         ["glicci", "--points", "5", "--workers", "2"],
         ["experiment", "run", "ex3.2", "--jobs", "2"],
+        ["experiment", "run", "ex3.2", "--surfaces", "bordiga_6"],
     ],
 )
 def test_removed_options_are_rejected(argv):

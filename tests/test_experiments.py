@@ -1,7 +1,9 @@
-"""Every registered experiment reproduces its references and its report
-survives a JSON round trip."""
+"""Every registered experiment reproduces its references, its report
+survives a JSON round trip, and its JSON matches the frozen
+``experiment run all --format json`` output of the benchmark oracle."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,30 @@ from liaisonkit.experiments import REGISTRY, ExperimentReport, run_experiment
 # workload covers it until enumeration gets cheaper.
 FAST_IDS = [eid for eid in REGISTRY if eid != "prop3.1"]
 
+# the reports of `experiment run all --format json`, runtime_seconds lines removed
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "reproduce.txt"
+
+
+@pytest.fixture(scope="module")
+def frozen_reports():
+    decoder = json.JSONDecoder()
+    text = ORACLE.read_text(encoding="utf-8")
+    reports, pos = {}, 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        report, pos = decoder.raw_decode(text, pos)
+        reports[report["experiment_id"]] = report
+    return reports
+
 
 @pytest.mark.parametrize("experiment_id", FAST_IDS)
-def test_experiment_matches_and_round_trips(experiment_id):
+def test_experiment_matches_and_round_trips(experiment_id, frozen_reports):
     report = run_experiment(experiment_id)
     assert report.all_match, {k: v for k, v in report.matches.items() if v is False}
     assert report.runtime_seconds >= 0
     data = json.loads(json.dumps(report.to_dict()))
     assert ExperimentReport.from_dict(data) == report
+    del data["runtime_seconds"]
+    assert data == frozen_reports[experiment_id]

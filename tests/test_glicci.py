@@ -1,5 +1,5 @@
 """Point-configuration link chains: candidate enumeration, the small-n
-exhaustive oracle, step re-validation, and worker invariance."""
+exhaustive oracle, step re-validation, and pinned chains."""
 
 import itertools
 
@@ -81,6 +81,16 @@ def test_n4_links_through_five_point_scheme():
     chain.validate()
     assert chain.counts == (4, 1)
     assert chain.links[0].entries == (1, 3, 1)
+
+
+def test_pinned_chains():
+    # pins the bidirectional meet, the goal-side half of the chain and the
+    # descending walk, which the benchmark oracle checks only by length
+    chain = glicci_chain(36)
+    assert chain.counts == (36, 19, 10, 4, 1)
+    assert [w.mass for w in chain.links] == [55, 29, 14, 5]
+    assert glicci_chain(51).counts == (51, 40, 15, 13, 1)
+    assert glicci_chain(40, mode="descending_only").counts == (40, 15, 13, 1)
 
 
 def test_n1_empty_chain():

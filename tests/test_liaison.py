@@ -242,6 +242,18 @@ def test_search_rejects_bad_input():
         ascending_chain_search((10, 9), max_steps=0)
     with pytest.raises(MissingWitnessError):
         ascending_chain_search((5, 0), starts=[CurveRecord.abstract(2, -1)])
+    with pytest.raises(LiaisonkitError, match="del_pezzo_4.*cubic_scroll"):
+        ascending_chain_search(
+            ("del_pezzo_4", B((5, 3, 1, 1, 1, 1))), surfaces=["cubic_scroll"], max_steps=3
+        )
+
+
+def test_any_direction_failure_counts():
+    # the benchmark oracle checks only found, length and end; pin the search itself
+    result = ascending_chain_search((9, 2), ascending_only=False, max_steps=3)
+    assert isinstance(result, SearchFailure)
+    assert result.explored == 437
+    assert result.frontier_sizes == (42, 272, 123, 7)
 
 
 def test_search_is_invariant_under_input_order():
