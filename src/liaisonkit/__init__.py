@@ -26,6 +26,7 @@ from .lattice import (
 from .surfaces import (
     LineClassSet,
     SurfaceModel,
+    class_representatives,
     conic_classes,
     enumerate_classes,
     get_surface,

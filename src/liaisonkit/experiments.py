@@ -27,6 +27,7 @@ from .lattice import (
     self_intersection,
 )
 from .surfaces import (
+    class_representatives,
     enumerate_classes,
     get_surface,
     is_effective_candidate,
@@ -373,7 +374,8 @@ def acm_candidate_pairs(surface_ids, max_degree=9):
     for sid in sorted(surface_ids):
         surface = get_surface(sid)
         for d in range(1, max_degree + 1):
-            for cls in enumerate_classes(surface, d, min_self=0):
+            # every test below is constant on an orbit (see surfaces.py)
+            for cls in class_representatives(surface, d, min_self=0):
                 g = arithmetic_genus(cls, surface)
                 if (d, g) in pairs or not acm_h_vector_candidates(d, g):
                     continue
@@ -516,25 +518,21 @@ def _ex4_3():
 def _ex4_4():
     c5 = get_surface("castelnuovo_5")
     dp = get_surface("del_pezzo_4")
-    via_castelnuovo = elementary_biliaison(
-        CurveRecord.on_surface(
-            c5,
-            DivisorClass.blownup((0, 0, -1, -1, 0, 0, 0, 0, 0)),
-            rao=RaoTag.simple_k(0),
-        ),
-        1,
+    castelnuovo_start = CurveRecord.on_surface(
+        c5,
+        DivisorClass.blownup((0, 0, -1, -1, 0, 0, 0, 0, 0)),
+        rao=RaoTag.simple_k(0),
     )
-    via_del_pezzo = elementary_biliaison(
-        CurveRecord.on_surface(
-            dp, DivisorClass.blownup((1, 1, 0, 0, 0, -1)), rao=RaoTag.simple_k(0)
-        ),
-        1,
+    del_pezzo_start = CurveRecord.on_surface(
+        dp, DivisorClass.blownup((1, 1, 0, 0, 0, -1)), rao=RaoTag.simple_k(0)
     )
+    via_castelnuovo = elementary_biliaison(castelnuovo_start, 1)
+    via_del_pezzo = elementary_biliaison(del_pezzo_start, 1)
     computed = {
-        "castelnuovo_start_degree": 2,
+        "castelnuovo_start_degree": castelnuovo_start.degree,
         "castelnuovo_dg": via_castelnuovo.dg,
         "castelnuovo_rao_shift": via_castelnuovo.rao.shift,
-        "del_pezzo_start_degree": 3,
+        "del_pezzo_start_degree": del_pezzo_start.degree,
         "del_pezzo_dg": via_del_pezzo.dg,
         "del_pezzo_rao_shift": via_del_pezzo.rao.shift,
     }

@@ -311,6 +311,8 @@ def ascending_chain_search(
     surface_ids = sorted(surfaces) if surfaces is not None else _default_surfaces()
     if not surface_ids:
         raise LiaisonkitError("empty surface set")
+    if starts is not None and not starts:
+        raise LiaisonkitError("empty start set")
     models = {sid: get_surface(sid) for sid in surface_ids}
 
     if isinstance(target, tuple) and len(target) == 2 and all(

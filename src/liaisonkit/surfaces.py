@@ -9,6 +9,7 @@ class convention) and fails loudly on the first violation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -178,30 +179,58 @@ def surface_family_dim(surface: SurfaceModel) -> int:
 # ---------------------------------------------------------------------------
 # Bounded integer enumeration of classes with prescribed invariants.
 #
-# For a class L = (a; b_1..b_n) with L.H = d and L^2 >= c on a lattice with
-# H = (h_0; h_1..h_n), h_0 > 0 and H^2 = h_0^2 - sum(h_i^2) > 0:
+# For a class L = (a; b_1..b_n) with L.H = d and L^2 >= c (c <= 0) on a
+# lattice with H = (h_0; h_1..h_n), |h|^2 = sum(h_i^2) and
+# H^2 = h_0^2 - |h|^2 > 0:
 #
-#   a*h_0 - d = sum(b_i h_i) <= |b| |h|        (Cauchy-Schwarz)
-#   |b|^2 = a^2 - L^2 <= a^2 - c, so |b| <= |a| + sqrt(-c) for c <= 0,
+#   a*h_0 - d = sum(b_i h_i), and (sum(b_i h_i))^2 <= |b|^2 |h|^2
+#   (Cauchy-Schwarz) with |b|^2 = a^2 - L^2 <= a^2 - c,
 #
-# hence |a| (h_0 - |h|) <= |d| + |h| sqrt(-c) with h_0 - |h| > 0.  This
-# yields a finite, provably sufficient bound on a; the b_i are then bounded
-# by the square budget a^2 - c.
+# so (a*h_0 - d)^2 <= |h|^2 (a^2 - c).  This quadratic in a has leading
+# coefficient H^2 > 0 and discriminant 4 |h|^2 (d^2 - H^2 c), so a lies
+# between its two roots; math.isqrt gives them exactly.  The b_i are then
+# bounded by the square budget a^2 - c.
+#
+# Orbit representatives.  Permuting blown-up points of equal H-weight
+# (equal entries h_i, wherever they sit in H) fixes H and
+# K = (-3; -1..-1).  Such a permutation therefore preserves L.H, L.K,
+# L^2 and the genus, maps the set lines_on(surface) onto itself (so the
+# effectivity screen gives the same answer) and maps H - L to the
+# permuted H - L.  The depth-first search keeps one tuple per orbit: the
+# one whose b_i do not increase along each set of equal-weight positions.
+# This is the stabilizer of H in the Weyl group (Dolgachev, Classical
+# Algebraic Geometry, ch. 8; Manin, Cubic Forms).  Callers that test only
+# invariants iterate class_representatives; enumerate_classes expands
+# every orbit into its distinct permutations.
 # ---------------------------------------------------------------------------
 
 
-def _a_bound(surface: SurfaceModel, d: int, min_self: int) -> int:
+def _a_range(surface: SurfaceModel, d: int, min_self: int) -> range:
+    """Every a admitting a class of degree ``d`` with L^2 >= ``min_self``
+    (<= 0): the integer interval between the roots of the quadratic
+    above, widened by one on each side."""
     h0 = surface.H.coeffs[0]
     hsq = sum(x * x for x in surface.H.coeffs[1:])
-    hnorm = math.sqrt(hsq)
-    slack = math.sqrt(max(-min_self, 0))
-    bound = (abs(d) + hnorm * slack) / (h0 - hnorm)
-    return int(math.ceil(bound)) + 1
+    root = math.isqrt(hsq * (d * d - surface.degree * min_self))
+    lo = -((root - h0 * d) // surface.degree)  # ceil((h0 d - root) / H^2)
+    hi = (h0 * d + root) // surface.degree
+    return range(lo - 1, hi + 2)
+
+
+def _weight_blocks(weights) -> list[tuple[int, ...]]:
+    """Positions of ``weights`` grouped by equal value, in order of first
+    appearance; only groups of two or more positions."""
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        groups.setdefault(w, []).append(i)
+    return [tuple(g) for g in groups.values() if len(g) > 1]
 
 
 def _b_solutions(weights, wsum, psum, sq_lo, sq_hi):
-    """All integer tuples b with sum(b_i w_i) = wsum, optional sum(b_i) =
-    psum, and sq_lo <= sum(b_i^2) <= sq_hi.  Depth-first with exact
+    """Orbit representatives of the integer tuples b with
+    sum(b_i w_i) = wsum, optional sum(b_i) = psum, and
+    sq_lo <= sum(b_i^2) <= sq_hi: the tuples that do not increase along
+    each set of equal-weight positions.  Depth-first with exact
     Cauchy-Schwarz pruning on both running constraints."""
     n = len(weights)
     if sq_hi < 0:
@@ -209,6 +238,10 @@ def _b_solutions(weights, wsum, psum, sq_lo, sq_hi):
     suffix_wsq = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_wsq[i] = suffix_wsq[i + 1] + weights[i] * weights[i]
+    prev_same = [None] * n
+    for block in _weight_blocks(weights):
+        for j, i in zip(block, block[1:]):
+            prev_same[i] = j
 
     out = []
 
@@ -225,28 +258,72 @@ def _b_solutions(weights, wsum, psum, sq_lo, sq_hi):
         if psum is not None and rem_p * rem_p > budget * k:
             return
         top = math.isqrt(budget)
-        for b in range(-top, top + 1):
+        hi = top if prev_same[i] is None else min(top, acc[prev_same[i]])
+        for b in range(-top, hi + 1):
             acc.append(b)
             rec(i + 1, rem_w - b * weights[i], rem_p - b, budget - b * b, acc)
             acc.pop()
 
     rec(0, wsum, 0 if psum is None else psum, sq_hi, [])
-    return sorted(out)
+    return out
 
 
-def enumerate_classes(
+def _multiset_permutations(values):
+    """Each distinct ordering of the multiset ``values`` once, in
+    lexicographic order (Narayana's next-permutation step).
+
+    >>> list(_multiset_permutations((1, 0, 1)))
+    [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    """
+    p = sorted(values)
+    n = len(p)
+    while True:
+        yield tuple(p)
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
+
+
+def _orbit(coeffs, blocks):
+    """The distinct tuples obtained from ``coeffs`` by permuting the
+    entries within each block of positions."""
+    out = list(coeffs)
+    arrangements = [
+        list(_multiset_permutations([coeffs[i] for i in block])) for block in blocks
+    ]
+    for combo in itertools.product(*arrangements):
+        for block, values in zip(blocks, combo):
+            for i, v in zip(block, values):
+                out[i] = v
+        yield tuple(out)
+
+
+def class_representatives(
     surface: SurfaceModel,
     deg: int,
     genus: int | None = None,
     self_ints=None,
     min_self: int | None = None,
 ) -> list[DivisorClass]:
-    """All classes on ``surface`` with degree ``deg``, optionally pinned
-    arithmetic genus and/or self-intersection values.
+    """One class per orbit of the classes :func:`enumerate_classes`
+    returns, under permutations of blown-up points of equal H-weight.
 
-    ``self_ints`` is an iterable of admitted values of C^2; when omitted,
-    C^2 ranges over [min_self .. Hodge bound d^2 // H^2].  Output order is
+    Each representative has non-increasing coefficients along every set
+    of equal-weight points; degree, genus, C^2, the effectivity screen
+    and H - C tests give the same answer on the whole orbit.  On the
+    quadric every class is its own representative.  Output order is
     canonical (sorted coefficient tuples).
+
+    >>> dp = get_surface("del_pezzo_4")
+    >>> [str(c) for c in class_representatives(dp, 1, genus=0, self_ints=(-1,))]
+    ['(0;0,0,0,0,-1)', '(1;1,1,0,0,0)', '(2;1,1,1,1,1)']
     """
     if surface.basis == QUADRIC:
         found = []
@@ -266,22 +343,15 @@ def enumerate_classes(
     hodge_cap = (deg * deg) // surface.degree
     if self_ints is None:
         lo = min_self if min_self is not None else 0
-        q_values = range(lo, hodge_cap + 1)
-        floor_self = lo
+        q_list = list(range(lo, hodge_cap + 1))
     else:
-        q_values = sorted(set(self_ints))
-        if not q_values:
-            return []
-        floor_self = q_values[0]
-
-    h = surface.H.coeffs
-    found = []
-    q_list = [q for q in q_values if q <= hodge_cap]
+        q_list = [q for q in sorted(set(self_ints)) if q <= hodge_cap]
     if not q_list:
         return []
     qset = set(q_list)
-    a_max = _a_bound(surface, deg, min(min(q_list), 0))
-    for a in range(-a_max, a_max + 1):
+    h = surface.H.coeffs
+    found = []
+    for a in _a_range(surface, deg, min(q_list[0], 0)):
         wsum = a * h[0] - deg
         if genus is not None:
             for q in q_list:
@@ -290,19 +360,41 @@ def enumerate_classes(
                     continue
                 # L.K = 2g - 2 - q with K = (-3; -1..-1) pins sum(b_i).
                 psum = 3 * a + (2 * genus - 2 - q)
-                for b in _b_solutions(h[1:], wsum, psum, sq, sq):
-                    found.append(DivisorClass.blownup((a,) + b))
+                found += [(a,) + b for b in _b_solutions(h[1:], wsum, psum, sq, sq)]
         else:
             # one sweep over the whole square-budget window
-            sq_lo = max(a * a - max(q_list), 0)
-            sq_hi = a * a - min(q_list)
+            sq_lo = max(a * a - q_list[-1], 0)
+            sq_hi = a * a - q_list[0]
             for b in _b_solutions(h[1:], wsum, None, sq_lo, sq_hi):
-                c = DivisorClass.blownup((a,) + b)
-                if self_intersection(c) in qset:
-                    found.append(c)
+                if a * a - sum(x * x for x in b) in qset:
+                    found.append((a,) + b)
+    classes = [DivisorClass.blownup(c) for c in sorted(found)]
     if genus is not None:
-        found = [c for c in found if arithmetic_genus(c, surface) == genus]
-    return sorted(set(found), key=lambda c: c.coeffs)
+        classes = [c for c in classes if arithmetic_genus(c, surface) == genus]
+    return classes
+
+
+def enumerate_classes(
+    surface: SurfaceModel,
+    deg: int,
+    genus: int | None = None,
+    self_ints=None,
+    min_self: int | None = None,
+) -> list[DivisorClass]:
+    """All classes on ``surface`` with degree ``deg``, optionally pinned
+    arithmetic genus and/or self-intersection values.
+
+    ``self_ints`` is an iterable of admitted values of C^2; when omitted,
+    C^2 ranges over [min_self .. Hodge bound d^2 // H^2].  Every orbit of
+    :func:`class_representatives` is expanded.  Output order is canonical
+    (sorted coefficient tuples).
+    """
+    reps = class_representatives(surface, deg, genus, self_ints, min_self)
+    if surface.basis == QUADRIC:
+        return reps
+    blocks = [tuple(i + 1 for i in b) for b in _weight_blocks(surface.H.coeffs[1:])]
+    expanded = sorted(itertools.chain.from_iterable(_orbit(c.coeffs, blocks) for c in reps))
+    return [DivisorClass.blownup(c) for c in expanded]
 
 
 @lru_cache(maxsize=None)

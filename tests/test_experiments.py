@@ -9,10 +9,6 @@ import pytest
 
 from liaisonkit.experiments import REGISTRY, ExperimentReport, run_experiment
 
-# prop3.1 spends seconds in class enumeration; the benchmark's reproduce
-# workload covers it until enumeration gets cheaper.
-FAST_IDS = [eid for eid in REGISTRY if eid != "prop3.1"]
-
 # the reports of `experiment run all --format json`, runtime_seconds lines removed
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "reproduce.txt"
 
@@ -31,7 +27,7 @@ def frozen_reports():
     return reports
 
 
-@pytest.mark.parametrize("experiment_id", FAST_IDS)
+@pytest.mark.parametrize("experiment_id", list(REGISTRY))
 def test_experiment_matches_and_round_trips(experiment_id, frozen_reports):
     report = run_experiment(experiment_id)
     assert report.all_match, {k: v for k, v in report.matches.items() if v is False}

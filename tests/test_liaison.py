@@ -240,6 +240,8 @@ def test_search_rejects_bad_input():
         ascending_chain_search((10, 9), surfaces=[])
     with pytest.raises(LiaisonkitError):
         ascending_chain_search((10, 9), max_steps=0)
+    with pytest.raises(LiaisonkitError, match="empty start set"):
+        ascending_chain_search((5, 0), surfaces=["cubic_scroll"], starts=[])
     with pytest.raises(MissingWitnessError):
         ascending_chain_search((5, 0), starts=[CurveRecord.abstract(2, -1)])
     with pytest.raises(LiaisonkitError, match="del_pezzo_4.*cubic_scroll"):

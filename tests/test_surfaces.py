@@ -1,14 +1,20 @@
 """Catalog loading, line/conic enumeration, and the stored family
 dimensions, each checked against an independent count where one exists."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
+import math
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from liaisonkit.errors import CatalogError, UnknownSurfaceError, UnsupportedSurfaceError
 from liaisonkit.lattice import DivisorClass, arithmetic_genus, intersect, self_intersection
 from liaisonkit.surfaces import (
+    class_representatives,
     conic_classes,
     enumerate_classes,
     get_surface,
@@ -173,6 +179,103 @@ def test_enumerate_classes_quadric():
     assert [c.coeffs for c in lines] == [(0, 1), (1, 0)]
     conics = enumerate_classes(quadric, 2, genus=0, min_self=0)
     assert [c.coeffs for c in conics] == [(1, 1)]
+
+
+def _box_classes(surface, box, degrees, min_self):
+    """Every class in ``box`` (one inclusive (lo, hi) range per
+    coefficient) with degree in ``degrees`` and C^2 >= ``min_self``, as
+    {(degree, genus): sorted coefficient tuples}.  Only the intersection
+    form is used: no bound, no pruning, no symmetry."""
+    np = pytest.importorskip("numpy")
+    (a_lo, a_hi), *b_box = box
+    axes = [np.arange(lo, hi + 1, dtype=np.int8) for lo, hi in b_box]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    h0, *h = surface.H.coeffs
+    k0, *k = surface.K.coeffs
+    b_dot_h, b_dot_k, b_sq = grid @ np.array(h), grid @ np.array(k), (grid * grid).sum(axis=1)
+    found = {}
+    for a in range(a_lo, a_hi + 1):
+        deg = a * h0 - b_dot_h
+        self_int = a * a - b_sq
+        genus = (self_int + a * k0 - b_dot_k) // 2 + 1
+        keep = np.isin(deg, degrees) & (self_int >= min_self)
+        for row, d, g in zip(grid[keep].tolist(), deg[keep].tolist(), genus[keep].tolist()):
+            found.setdefault((d, g), []).append((a, *row))
+    return {dg: sorted(classes) for dg, classes in found.items()}
+
+
+@pytest.mark.parametrize(
+    "sid, box",
+    [
+        ("del_pezzo_4", [(-2, 6)] + [(-2, 4)] * 5),
+        ("castelnuovo_5", [(-2, 7), (-1, 4)] + [(-1, 3)] * 7),
+    ],
+)
+def test_enumeration_matches_brute_force(sid, box):
+    # list equality also shows that the box holds every enumerated class
+    surface = get_surface(sid)
+    degrees = range(0, 5)
+    brute = _box_classes(surface, box, degrees, -2)
+    for d in degrees:
+        genera = sorted(g for dd, g in brute if dd == d)
+        everything = sorted(c for g in genera for c in brute[(d, g)])
+        assert [c.coeffs for c in enumerate_classes(surface, d, min_self=-2)] == everything
+        for g in genera + [genera[-1] + 1]:
+            got = enumerate_classes(surface, d, genus=g, min_self=-2)
+            assert [c.coeffs for c in got] == brute.get((d, g), [])
+
+
+def test_enumeration_follows_a_permuted_catalog():
+    # equal weights need not be adjacent: moving castelnuovo's weight-2
+    # point between the weight-1 points permutes every class the same way
+    c5 = get_surface("castelnuovo_5")
+    order = (0, 2, 3, 4, 1, 5, 6, 7, 8)
+    moved = dataclasses.replace(c5, H=B(tuple(c5.H.coeffs[i] for i in order)))
+    for d in range(6):
+        want = sorted(tuple(c.coeffs[i] for i in order) for c in enumerate_classes(c5, d, min_self=-1))
+        assert [c.coeffs for c in enumerate_classes(moved, d, min_self=-1)] == want
+
+
+def test_castelnuovo_degree_9_orbits():
+    # prop3.1's largest enumeration: 611 orbits of the 7 weight-1 points.
+    # An orbit's size is the multinomial 7! / prod(m!) over the value
+    # multiplicities m of b_2..b_8; the weight-2 point is fixed.
+    reps = class_representatives(get_surface("castelnuovo_5"), 9, min_self=0)
+    assert len(reps) == len(set(reps)) == 611
+    assert all(list(c.coeffs[2:]) == sorted(c.coeffs[2:], reverse=True) for c in reps)
+
+    def orbit_size(coeffs):
+        size = math.factorial(7)
+        for m in Counter(coeffs[2:]).values():
+            size //= math.factorial(m)
+        return size
+
+    assert sum(orbit_size(c.coeffs) for c in reps) == 142_354
+
+
+CENSUS_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "class_census.json"
+
+
+def test_class_census_oracle_cheap_cells():
+    # the benchmark's frozen counts and digests, for every cell that cost
+    # at most 20 ms when frozen; the digest recipe is bench/worker.py's
+    oracle = json.loads(CENSUS_ORACLE.read_text(encoding="utf-8"))
+    cheap = [k for k, ms in oracle["cost_ms"].items() if ms <= 20]
+    assert len(cheap) == 89
+    wrong = []
+    for key in cheap:
+        sid, deg, kind, value = json.loads(key)
+        surface = get_surface(sid)
+        if kind == "genus":
+            result = enumerate_classes(surface, deg, genus=value, min_self=-1)
+        else:
+            result = enumerate_classes(surface, deg, min_self=value)
+        coeffs = sorted(c.coeffs for c in result)
+        text = "\n".join(",".join(map(str, c)) for c in coeffs)
+        summary = [len(coeffs), hashlib.sha256(text.encode()).hexdigest()]
+        if summary != oracle["table"][key]:
+            wrong.append(key)
+    assert wrong == []
 
 
 def test_effectivity_screen():
