@@ -74,13 +74,12 @@ def ag_candidates_containing(
     ``max_mass``, in deterministic lexicographic order."""
     if max_mass < z.mass:
         raise LiaisonkitError("max_mass below the mass of the configuration")
-    out = []
-    for w in _gorenstein_h_vectors(z.ambient_codim, max_mass, socle_bound):
-        if w.socle_degree < z.socle_degree:
-            continue
-        if all(z.get(i) <= w.get(i) for i in range(len(z.entries))):
-            out.append(w)
-    return out
+    ze = z.entries
+    return [
+        w
+        for w in _gorenstein_h_vectors(z.ambient_codim, max_mass, socle_bound)
+        if len(w.entries) >= len(ze) and all(a <= b for a, b in zip(ze, w.entries))
+    ]
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,12 @@ def glicci_chain(
     if max_intermediate is None:
         max_intermediate = 3 * n
 
+    generic: dict[int, HVector] = {}
+
     def generator(m):
-        return generic_points_h_vector(m, ambient, surface_degree=surface_degree)
+        if m not in generic:
+            generic[m] = generic_points_h_vector(m, ambient, surface_degree=surface_degree)
+        return generic[m]
 
     if surface_degree is not None:
         envelope = growth_envelope(socle_bound + 2, ambient, surface_degree)
@@ -175,26 +178,43 @@ def glicci_chain(
         """(w, m_next) link moves from the m-point generic configuration,
         by ascending m_next, keeping the lexicographically first w per
         target.  With an ``envelope`` the linking scheme must fit under
-        the constrained growth caps (points on a fixed surface)."""
+        the constrained growth caps (points on a fixed surface).
+
+        Each candidate is screened by its raw residual
+        r(i) = w(i) - z(s - i), i = 0..s, trailing zeros trimmed, and only
+        a w whose r is the generic vector of a new target count is handed
+        to ``link_h_vector``.  The screen rejects no move that
+        ``link_h_vector`` would accept: w is Gorenstein (the table is built
+        so) and contains z (``ag_candidates_containing`` checked it), so
+        the link succeeds exactly when r is nonnegative, starts with 1 and
+        is an O-sequence, and then returns r.  A generic vector has all
+        three properties, so the link lands on generic m2 points iff r
+        equals that vector, and the first w per target is the one a full
+        ``link_h_vector`` scan would keep."""
         z = generator(m)
+        ze = z.entries
         targets: dict[int, HVector] = {}
         for w in ag_candidates_containing(z, max_intermediate, socle_bound):
-            if envelope is not None and any(
-                v > envelope[i] for i, v in enumerate(w.entries)
-            ):
+            we = w.entries
+            if envelope is not None and any(v > envelope[i] for i, v in enumerate(we)):
+                continue
+            s = len(we) - 1
+            r = [we[i] - (ze[s - i] if s - i < len(ze) else 0) for i in range(s + 1)]
+            while r and r[-1] == 0:
+                r.pop()
+            m2 = sum(r)
+            if m2 < 1 or m2 > max_intermediate or m2 in targets:
+                continue
+            if descending and m2 >= m:
+                continue
+            g = generator(m2)
+            if tuple(r) != g.entries:
                 continue
             try:
                 res = link_h_vector(z, w)
             except LinkageError:
                 continue
-            m2 = res.mass
-            if m2 > max_intermediate:
-                continue
-            if descending and m2 >= m:
-                continue
-            if res.entries != generator(m2).entries:
-                continue  # admissibility: generic stays generic
-            if m2 not in targets:
+            if res.entries == g.entries:
                 targets[m2] = w
         return [(w, m2) for m2, w in sorted(targets.items())]
 

@@ -326,19 +326,28 @@ def class_representatives(
     ['(0;0,0,0,0,-1)', '(1;1,1,0,0,0)', '(2;1,1,1,1,1)']
     """
     if surface.basis == QUADRIC:
+        # (a, deg - a) has C^2 = 2a(deg - a) >= floor exactly when
+        # (2a - deg)^2 <= deg^2 - 2 floor; isqrt gives the a range, and
+        # increasing a is increasing coefficient order
+        if self_ints is not None:
+            wanted = set(self_ints)
+            floor = min(wanted, default=0)
+        else:
+            wanted = None
+            floor = min_self if min_self is not None else 0
+        disc = deg * deg - 2 * floor
+        if disc < 0:
+            return []
+        root = math.isqrt(disc)
         found = []
-        for a in range(0, deg + 1):
-            b = deg - a
-            c = DivisorClass.quadric((a, b))
+        for a in range(-((root - deg) // 2), (deg + root) // 2 + 1):
+            c = DivisorClass.quadric((a, deg - a))
             if genus is not None and arithmetic_genus(c, surface) != genus:
                 continue
-            q = self_intersection(c)
-            if self_ints is not None and q not in set(self_ints):
-                continue
-            if self_ints is None and q < (min_self if min_self is not None else 0):
+            if wanted is not None and self_intersection(c) not in wanted:
                 continue
             found.append(c)
-        return sorted(found, key=lambda c: c.coeffs)
+        return found
 
     hodge_cap = (deg * deg) // surface.degree
     if self_ints is None:

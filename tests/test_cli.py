@@ -2,7 +2,11 @@
 JSON output, typed messages for bad input, and removed options."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +83,17 @@ def test_removed_options_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_INVALID
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liaisonkit", "experiment", "run", "ex4.2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "ex4.2" in proc.stdout

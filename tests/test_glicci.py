@@ -2,6 +2,8 @@
 exhaustive oracle, step re-validation, and pinned chains."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +93,72 @@ def test_pinned_chains():
     assert [w.mass for w in chain.links] == [55, 29, 14, 5]
     assert glicci_chain(51).counts == (51, 40, 15, 13, 1)
     assert glicci_chain(40, mode="descending_only").counts == (40, 15, 13, 1)
+
+
+def test_pinned_links():
+    # whole linking schemes, not only their masses, on the bidirectional,
+    # descending, P2 and surface-envelope branches of the move generator
+    cases = [
+        (
+            glicci_chain(36),
+            [
+                (1, 3, 6, 10, 15, 10, 6, 3, 1),
+                (1, 3, 6, 9, 6, 3, 1),
+                (1, 3, 6, 3, 1),
+                (1, 3, 1),
+            ],
+        ),
+        (
+            glicci_chain(40, mode="descending_only"),
+            [(1, 3, 6, 10, 15, 10, 6, 3, 1), (1, 3, 6, 8, 6, 3, 1), (1, 3, 6, 3, 1)],
+        ),
+        (
+            glicci_chain(30, ambient="P2"),
+            [
+                (1, 2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1),
+                (1, 2, 3, 4, 5, 4, 3, 2, 1),
+                (1, 2, 3, 2, 1),
+                (1, 2, 1),
+            ],
+        ),
+        (
+            glicci_chain(18, surface_degree=3),
+            [(1, 3, 6, 9, 6, 3, 1), (1, 3, 6, 3, 1), (1, 2, 1)],
+        ),
+    ]
+    for chain, links in cases:
+        assert [w.entries for w in chain.links] == links
+
+
+GLICCI_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "glicci_sweep.json"
+
+# (mode, n) keys of the oracle, as bench/worker.py maps them
+GLICCI_MODES = {
+    "p2": {"ambient": "P2"},
+    "p3": {"ambient": "P3"},
+    "p3_desc": {"ambient": "P3", "mode": "descending_only"},
+    "cubic": {"ambient": "P3", "surface_degree": 3},
+}
+
+
+def test_glicci_sweep_oracle_cheap_cells():
+    # the benchmark's frozen chain lengths ("fail" for no chain), for every
+    # cell that cost at most 20 ms when frozen; found chains re-validate
+    oracle = json.loads(GLICCI_ORACLE.read_text(encoding="utf-8"))
+    cheap = [k for k, ms in oracle["cost_ms"].items() if ms <= 20]
+    assert len(cheap) == 157
+    wrong = []
+    for key in cheap:
+        mode, n = json.loads(key)
+        result = glicci_chain(n, **GLICCI_MODES[mode])
+        if isinstance(result, GlicciFailure):
+            got = "fail"
+        else:
+            result.validate()
+            got = result.length
+        if got != oracle["table"][key]:
+            wrong.append((key, got))
+    assert wrong == []
 
 
 def test_n1_empty_chain():

@@ -225,6 +225,31 @@ def test_enumeration_matches_brute_force(sid, box):
             assert [c.coeffs for c in got] == brute.get((d, g), [])
 
 
+def test_quadric_enumeration_matches_brute_force():
+    # (a, b) has degree a + b, C^2 = 2ab and genus (a - 1)(b - 1); a box
+    # wider than any class of degree -2..4 and C^2 >= -6 holds them all
+    quadric = get_surface("quadric_p3")
+    box = [(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    assert enumerate_classes(quadric, 1, min_self=-4) == [
+        DivisorClass.quadric(ab) for ab in [(-1, 2), (0, 1), (1, 0), (2, -1)]
+    ]
+    for d in range(-2, 5):
+        for floor in range(-6, 3):
+            want = sorted(ab for ab in box if sum(ab) == d and 2 * ab[0] * ab[1] >= floor)
+            got = [c.coeffs for c in enumerate_classes(quadric, d, min_self=floor)]
+            assert got == want, (d, floor)
+            assert [c.coeffs for c in class_representatives(quadric, d, min_self=floor)] == want
+            ints = (floor, floor + 2)
+            want_ints = [ab for ab in want if 2 * ab[0] * ab[1] in ints]
+            got_ints = enumerate_classes(quadric, d, self_ints=ints)
+            assert [c.coeffs for c in got_ints] == want_ints, (d, ints)
+            for g in {(a - 1) * (b - 1) for a, b in want} | {99}:
+                pinned = enumerate_classes(quadric, d, genus=g, min_self=floor)
+                assert [c.coeffs for c in pinned] == [
+                    (a, b) for a, b in want if (a - 1) * (b - 1) == g
+                ], (d, floor, g)
+
+
 def test_enumeration_follows_a_permuted_catalog():
     # equal weights need not be adjacent: moving castelnuovo's weight-2
     # point between the weight-1 points permutes every class the same way
