@@ -97,14 +97,21 @@ def _cmd_biliaison_chain(args) -> int:
             raise InvalidInvocationError(
                 f"expected --start SURFACE:COEFFS, got {args.start!r}"
             )
-        cls = DivisorClass.blownup(parse_coeffs(coeffs))
-        starts = [CurveRecord.on_surface(get_surface(sid), cls)]
+        surface = get_surface(sid, args.catalog)
+        values = parse_coeffs(coeffs)
+        rank = len(surface.H.coeffs)
+        if len(values) != rank:
+            raise InvalidInvocationError(
+                f"--start on {sid} needs {rank} coefficients, got {len(values)}"
+            )
+        starts = [CurveRecord.on_surface(surface, DivisorClass(surface.basis, values))]
     result = ascending_chain_search(
         (d, g),
         surfaces=surfaces,
         ascending_only=not args.any_direction,
         max_steps=args.max_steps,
         starts=starts,
+        catalog_path=args.catalog,
     )
     if isinstance(result, SearchFailure):
         _emit(
@@ -230,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("--surfaces", default=None, help="comma-separated ids")
     p_chain.add_argument("--start", default=None, help="seed as surface:coeffs")
     p_chain.add_argument("--format", choices=("table", "json"), default="table")
+    p_chain.add_argument("--catalog", default=None, help="alternate catalog file")
     p_chain.set_defaults(func=_cmd_biliaison_chain)
 
     p_glicci = sub.add_parser("glicci", help="point-configuration link chains")

@@ -158,6 +158,8 @@ def glicci_chain(
         raise LiaisonkitError(f"ambient must be P2 or P3, got {ambient!r}")
     if mode not in ("full", "descending_only"):
         raise LiaisonkitError(f"unknown mode {mode!r}")
+    if surface_degree is not None and surface_degree < 1:
+        raise LiaisonkitError("surface degree must be >= 1")
     descending = mode == "descending_only"
     if max_intermediate is None:
         max_intermediate = 3 * n

@@ -107,6 +107,12 @@ def _caps(r: int, surface_degree: int | None):
         yield cap
 
 
+def _check_surface_degree(surface_degree: int | None) -> None:
+    # a degree below 1 caps every entry at <= 0, so no h-vector completes
+    if surface_degree is not None and surface_degree < 1:
+        raise LiaisonkitError("surface degree must be >= 1")
+
+
 def generic_points_h_vector(
     n: int, ambient: str = "P3", surface_degree: int | None = None
 ) -> HVector:
@@ -128,6 +134,7 @@ def generic_points_h_vector(
     r = AMBIENT_CODIM[ambient]
     if surface_degree is not None and r != 3:
         raise LiaisonkitError("surface constraint applies to P3 only")
+    _check_surface_degree(surface_degree)
     entries = []
     remaining = n
     for cap in _caps(r, surface_degree):
@@ -144,6 +151,7 @@ def growth_envelope(
 ) -> tuple[int, ...]:
     """Pointwise caps on h-vector entries of point sets in the ambient
     space, optionally constrained to a degree-e surface (P3 only)."""
+    _check_surface_degree(surface_degree)
     return tuple(islice(_caps(AMBIENT_CODIM[ambient], surface_degree), length))
 
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import add, mul
 
 from .errors import LiaisonkitError, LinkageError, MissingWitnessError
 from .lattice import (
+    BLOWNUP_PLANE,
     DivisorClass,
     arithmetic_genus,
     degree,
@@ -23,11 +25,13 @@ from .lattice import (
     intersect,
 )
 from .surfaces import (
+    ScreenRows,
     SurfaceModel,
     get_surface,
     is_effective_candidate,
     lines_on,
     load_catalog,
+    screen_rows,
     surface_family_dim,
 )
 from .curves import CurveRecord, RaoTag
@@ -229,14 +233,6 @@ REWITNESS_TABLE: dict[tuple[int, int], tuple[tuple[str, tuple[int, ...]], ...]] 
 }
 
 
-def rewitness_targets(dg: tuple[int, int], allowed) -> list[tuple[str, DivisorClass]]:
-    out = []
-    for surface_id, coeffs in REWITNESS_TABLE.get(dg, ()):
-        if surface_id in allowed:
-            out.append((surface_id, DivisorClass.blownup(coeffs)))
-    return out
-
-
 def validate_rewitness_table() -> None:
     for dg, entries in REWITNESS_TABLE.items():
         for surface_id, coeffs in entries:
@@ -273,13 +269,79 @@ class SearchFailure:
 _COEFF_BOX = 60
 
 
-def _default_surfaces() -> list[str]:
-    catalog = load_catalog(None)
+def _default_surfaces(catalog_path: str | None = None) -> list[str]:
+    catalog = load_catalog(catalog_path)
     return sorted(
         sid
         for sid, s in catalog.items()
         if s.ambient == "P4" and s.basis == "blownup_plane"
     )
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+def _tuple_dg(rows: ScreenRows, c) -> tuple[int, int]:
+    """(C.H, genus) of the class with coefficients ``c``, by adjunction
+    (C^2 + C.K)/2 + 1 on the dual rows; C^2 + C.K is always even (see
+    :func:`~liaisonkit.lattice.arithmetic_genus`)."""
+    c2 = sum(v * c[i] * c[j] for i, j, v in rows.form)
+    return _dot(c, rows.H), (c2 + _dot(c, rows.K)) // 2 + 1
+
+
+def screened_moves(
+    surface: SurfaceModel, rows: ScreenRows, c, ascending_only: bool, degree_cap: int
+):
+    """The ``(move, (surface_id, coeffs))`` pairs of the search from the
+    class with coefficients ``c`` on ``surface``.
+
+    Biliaisons C + hH come first (heights 1.. up to the degree cap when
+    ``ascending_only``, otherwise -3..3 without 0), then Gorenstein links
+    mH - K - C for m in 1..4 (not when ``ascending_only``).  A candidate
+    is kept when its degree lies in [1, degree_cap], its coefficients in
+    the box, and it passes :func:`is_effective_candidate`.
+
+    That screen runs on integers computed once per class: deg C = C.H and
+    P_L = L.C for every line L of ``rows``.  Every line has L.H = 1, so
+
+        L.(C + hH) = P_L + h,      L.(mH - K - C) = m - L.K - P_L,
+
+    and the screen is min_L P_L + h >= 0 for a biliaison and
+    m >= max_L (L.K + P_L) for a link; its degree test is the lower end
+    of the window.  The kept moves are those of the class-level screen.
+    """
+    hh = rows.hh
+    deg = _dot(c, rows.H)
+    prods = [_dot(c, row) for row in rows.lines]
+    p_min = min(prods) if prods else None
+    if ascending_only:
+        heights = range(1, (degree_cap - deg) // hh + 1)
+    else:
+        heights = (-3, -2, -1, 1, 2, 3)
+    H = surface.H.coeffs
+    for h in heights:
+        if not 1 <= deg + h * hh <= degree_cap:
+            continue
+        cand = tuple([x + h * y for x, y in zip(c, H)])
+        if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
+            continue
+        if p_min is not None and p_min + h < 0:
+            continue
+        yield (BILIAISON, h), (surface.id, cand)
+    if ascending_only:
+        return
+    m_min = max(map(add, rows.line_k, prods)) if prods else None
+    K = surface.K.coeffs
+    for m in range(1, 5):
+        if not 1 <= m * hh - rows.hk - deg <= degree_cap:
+            continue
+        cand = tuple([m * y - k - x for x, y, k in zip(c, H, K)])
+        if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
+            continue
+        if m_min is not None and m < m_min:
+            continue
+        yield (G_LINK, m), (surface.id, cand)
 
 
 def ascending_chain_search(
@@ -288,32 +350,41 @@ def ascending_chain_search(
     ascending_only: bool = True,
     max_steps: int = 8,
     starts: list[CurveRecord] | None = None,
+    catalog_path: str | None = None,
 ):
     """Breadth-first search for a liaison chain reaching ``target``.
 
     ``target`` is a (degree, genus) pair, or a (surface_id, DivisorClass)
     pair for an exact class on one of ``surfaces``.  States are
-    (surface_id, DivisorClass) pairs; moves are elementary biliaisons
-    (heights >= 1 when ``ascending_only``, otherwise nonzero heights in
-    [-3, 3] plus Gorenstein links with twists m in [1, 4]), and zero-cost
-    re-witness hops through the shipped table.  Starts default to every
-    line class on every allowed surface.
+    (surface_id, coefficient tuple) pairs, which sort like the classes
+    they stand for; moves are elementary biliaisons (heights >= 1 when
+    ``ascending_only``, otherwise nonzero heights in [-3, 3] plus
+    Gorenstein links with twists m in [1, 4]; see
+    :func:`screened_moves`), and zero-cost re-witness hops through the
+    shipped table.  Starts default to every line class on every allowed
+    surface.  Surface ids resolve in the catalog at ``catalog_path``
+    (the packaged one by default); a table hop is skipped when its class
+    has another (d, g) on that catalog's model.
 
     Levels follow the determinism rule of :mod:`liaisonkit.search`, and
     the lowest sorted state that matches the target ends the search.  So
     the order of ``surfaces`` does not change the chain, nor does the
     order of ``starts`` unless two starts share a class with different
-    Rao tags (the first one listed wins).  Failure is a value
+    Rao tags (the first one listed wins).  The chain is replayed on
+    divisor classes from its root.  Failure is a value
     (:class:`SearchFailure`).
     """
     if max_steps < 1:
         raise LiaisonkitError("max_steps must be >= 1")
-    surface_ids = sorted(surfaces) if surfaces is not None else _default_surfaces()
+    surface_ids = (
+        sorted(surfaces) if surfaces is not None else _default_surfaces(catalog_path)
+    )
     if not surface_ids:
         raise LiaisonkitError("empty surface set")
     if starts is not None and not starts:
         raise LiaisonkitError("empty start set")
-    models = {sid: get_surface(sid) for sid in surface_ids}
+    models = {sid: get_surface(sid, catalog_path) for sid in surface_ids}
+    rows = {sid: screen_rows(s) for sid, s in models.items()}
 
     if isinstance(target, tuple) and len(target) == 2 and all(
         isinstance(x, int) for x in target
@@ -327,27 +398,41 @@ def ascending_chain_search(
                 f"target surface {sid} not in the allowed set {surface_ids}"
             )
         target_dg = (degree(cls, models[sid]), None)
-        target_state = (sid, cls)
+        target_state = (sid, cls.coeffs)
 
     degree_cap = target_dg[0] if ascending_only else target_dg[0] + 2 * max(
         s.degree for s in models.values()
     )
 
     def state_dg(state):
-        sid, cls = state
-        return degree(cls, models[sid]), arithmetic_genus(cls, models[sid])
+        sid, c = state
+        return _tuple_dg(rows[sid], c)
 
     def first_match(states):
         if target_state is not None:
             return target_state if target_state in states else None
         return next((s for s in states if state_dg(s) == target_dg), None)
 
+    # the table was checked on the packaged models; keep the hops that
+    # hold on this search's models
+    hops: dict[tuple[int, int], list] = {}
+    for dg, entries in REWITNESS_TABLE.items():
+        for sid, coeffs in entries:
+            surface = models.get(sid)
+            if (
+                surface is not None
+                and surface.basis == BLOWNUP_PLANE
+                and len(coeffs) == len(surface.H.coeffs)
+                and _tuple_dg(rows[sid], coeffs) == dg
+            ):
+                hops.setdefault(dg, []).append(((REWITNESS, None), (sid, coeffs)))
+
     # Rao tags matter only at the root; the replay in finish derives the rest.
     seed_tags = {}
     if starts is None:
         for sid, surface in models.items():
             for line in lines_on(surface).classes:
-                seed_tags[(sid, line)] = RaoTag.zero()
+                seed_tags[(sid, line.coeffs)] = RaoTag.zero()
     else:
         for rec in starts:
             if rec.witness is None:
@@ -355,15 +440,19 @@ def ascending_chain_search(
             surface = rec.witness.surface
             if models.get(surface.id) != surface:
                 raise LiaisonkitError(f"seed surface {surface.id} not in the allowed set")
-            seed_tags.setdefault((surface.id, rec.witness.cls), rec.rao)
+            seed_tags.setdefault((surface.id, rec.witness.cls.coeffs), rec.rao)
 
     def finish(state):
         (_, root), *path = path_to(parent, state)
+        surface = models[root[0]]
         record = CurveRecord.on_surface(
-            models[root[0]], root[1], rao=seed_tags[root], provenance="start"
+            surface,
+            DivisorClass(surface.basis, root[1]),
+            rao=seed_tags[root],
+            provenance="start",
         )
         steps = []
-        for (kind, payload), (sid, cls) in path:
+        for (kind, payload), (sid, coeffs) in path:
             if kind == BILIAISON:
                 after = elementary_biliaison(record, payload)
                 step = ChainStep(BILIAISON, before=record, after=after, h=payload)
@@ -371,9 +460,10 @@ def ascending_chain_search(
                 after = g_link_on_surface(record, payload)
                 step = ChainStep(G_LINK, before=record, after=after, m=payload)
             else:  # rewitness
+                surface = models[sid]
                 after = CurveRecord.on_surface(
-                    models[sid],
-                    cls,
+                    surface,
+                    DivisorClass(surface.basis, coeffs),
                     rao=record.rao,
                     provenance=f"{record.provenance}~@{sid}",
                 )
@@ -385,33 +475,12 @@ def ascending_chain_search(
         return Chain(tuple(steps), ascending_only=ascending_only)
 
     def moves(state):
-        sid, cls = state
-        surface = models[sid]
-        if ascending_only:
-            top = (degree_cap - degree(cls, surface)) // surface.degree
-            candidates = [((BILIAISON, h), cls + h * surface.H) for h in range(1, top + 1)]
-        else:
-            candidates = [
-                ((BILIAISON, h), cls + h * surface.H) for h in range(-3, 4) if h != 0
-            ]
-            candidates += [
-                ((G_LINK, m), m * surface.H - surface.K - cls) for m in range(1, 5)
-            ]
-        for move, cand in candidates:
-            if not 1 <= degree(cand, surface) <= degree_cap:
-                continue
-            if any(abs(c) > _COEFF_BOX for c in cand.coeffs):
-                logger.info("pruned %s on %s: coefficient box", cand, sid)
-                continue
-            if not is_effective_candidate(surface, cand):
-                logger.info("pruned %s on %s: effectivity screen", cand, sid)
-                continue
-            yield move, (sid, cand)
+        sid, c = state
+        return screened_moves(models[sid], rows[sid], c, ascending_only, degree_cap)
 
     def rewitness(state):
         # every state of one (d, g) has the same targets, so one pass closes
-        for nxt in rewitness_targets(state_dg(state), models):
-            yield (REWITNESS, None), nxt
+        return hops.get(state_dg(state), ())
 
     parent = dict.fromkeys(seed_tags)
     frontier = sorted(parent)

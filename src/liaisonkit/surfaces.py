@@ -428,6 +428,61 @@ def lines_on(surface: SurfaceModel) -> LineClassSet:
     return LineClassSet(tuple(classes), flags)
 
 
+@dataclass(frozen=True)
+class ScreenRows:
+    """Dual rows of the intersection form on one surface, for arithmetic
+    on raw coefficient tuples: ``x . y == sum(x_i * row_i)`` where
+    ``row`` is the dual row of ``y``.
+
+    ``H``, ``K`` and ``lines`` are the dual rows of the hyperplane class,
+    the canonical class and each class of :func:`lines_on` (none on the
+    quadric); ``form`` lists the nonzero entries ``(i, j, u_i . u_j)`` of
+    the dual rows of the unit classes u, so
+    ``x . x == sum(v * x[i] * x[j] for i, j, v in form)``.  ``hh`` is
+    H^2, ``hk`` is H.K and ``line_k`` holds each L.K.
+    """
+
+    H: tuple[int, ...]
+    K: tuple[int, ...]
+    lines: tuple[tuple[int, ...], ...]
+    form: tuple[tuple[int, int, int], ...]
+    hh: int
+    hk: int
+    line_k: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def screen_rows(surface: SurfaceModel) -> ScreenRows:
+    """The :class:`ScreenRows` of ``surface``; every entry is an
+    ``intersect`` value, so the form keeps its single definition.
+
+    >>> rows = screen_rows(get_surface("cubic_scroll"))
+    >>> rows.H, rows.lines, rows.line_k
+    ((2, -1), ((0, 1), (1, -1)), (-1, -2))
+    """
+    rank = len(surface.H.coeffs)
+    units = [
+        DivisorClass(surface.basis, tuple(int(i == j) for j in range(rank)))
+        for i in range(rank)
+    ]
+
+    def row(y: DivisorClass) -> tuple[int, ...]:
+        return tuple(intersect(u, y) for u in units)
+
+    lines = lines_on(surface).classes if surface.basis == BLOWNUP_PLANE else ()
+    return ScreenRows(
+        H=row(surface.H),
+        K=row(surface.K),
+        lines=tuple(row(line) for line in lines),
+        form=tuple(
+            (i, j, v) for i, u in enumerate(units) for j, v in enumerate(row(u)) if v
+        ),
+        hh=intersect(surface.H, surface.H),
+        hk=intersect(surface.H, surface.K),
+        line_k=tuple(intersect(line, surface.K) for line in lines),
+    )
+
+
 @lru_cache(maxsize=None)
 def conic_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
     """Plane-spanning conic candidates: C.H = 2, genus 0, C^2 >= 0."""

@@ -52,6 +52,42 @@ def test_start_seed_reaches_target(capsys):
     assert (out["steps"], out["rao_shift"]) == (1, 1)
 
 
+def test_start_seed_on_the_quadric_lattice(capsys):
+    code = cli.main(
+        [
+            "biliaison", "chain", "--target", "3,0", "--surfaces", "quadric_p3",
+            "--start", "quadric_p3:1,0", "--format", "json",
+        ]
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["chain"] == [
+        "(1,0) --biliaison h=1 on quadric_p3--> (2,1) (3, 0)"
+    ]
+
+
+def test_start_with_wrong_coefficient_count_is_invalid_invocation(capsys):
+    code = cli.main(["biliaison", "chain", "--target", "5,0", "--start", "cubic_scroll:1,1,1"])
+    assert code == cli.EXIT_INVALID
+    assert "--start on cubic_scroll needs 2 coefficients, got 3" in capsys.readouterr().err
+
+
+def test_chain_search_on_alternate_catalog(tmp_path, capsys):
+    raw = json.loads(resources.files("liaisonkit.data").joinpath("surfaces.json").read_text())
+    scroll = next(s for s in raw["surfaces"] if s["id"] == "cubic_scroll")
+    alt = tmp_path / "alt.json"
+    alt.write_text(json.dumps({"surfaces": [dict(scroll, id="my_scroll")]}))
+    code = cli.main(
+        [
+            "biliaison", "chain", "--target", "5,0", "--start", "my_scroll:2;2",
+            "--catalog", str(alt), "--format", "json",
+        ]
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["chain"] == [
+        "(2;2) --biliaison h=1 on my_scroll--> (4;3) (5, 0)"
+    ]
+
+
 def test_failed_chain_search_exits_1(capsys):
     code = cli.main(
         ["biliaison", "chain", "--target", "2,-1", "--surfaces", "cubic_scroll",
@@ -67,6 +103,13 @@ def test_glicci_json_output(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["found"] is True
     assert out["counts"][0] == 5 and out["counts"][-1] == 1
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_glicci_surface_degree_below_one_exits_2(degree, capsys):
+    code = cli.main(["glicci", "--points", "5", "--surface-degree", degree])
+    assert code == cli.EXIT_INVALID
+    assert "surface degree must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

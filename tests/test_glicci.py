@@ -238,3 +238,5 @@ def test_input_validation():
         glicci_chain(5, ambient="P7")
     with pytest.raises(LiaisonkitError):
         glicci_chain(5, mode="sideways")
+    with pytest.raises(LiaisonkitError, match="surface degree must be >= 1"):
+        glicci_chain(5, surface_degree=0)

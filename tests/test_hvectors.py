@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonkit.errors import CharacterError, LinkageError
+from liaisonkit.errors import CharacterError, LiaisonkitError, LinkageError
 from liaisonkit.hvectors import (
     HVector,
     PostulationCharacter,
@@ -172,6 +172,15 @@ def test_growth_envelope_on_cubic():
     assert growth_envelope(6, "P3", 3) == (1, 3, 6, 9, 12, 15)
     assert generic_points_h_vector(19, "P3", surface_degree=3).entries == (1, 3, 6, 9)
     assert generic_points_h_vector(20, "P3", surface_degree=3).entries == (1, 3, 6, 9, 1)
+
+
+@pytest.mark.parametrize("surface_degree", [0, -1, -5])
+def test_surface_degree_below_one_is_rejected(surface_degree):
+    # every cap is then <= 0, so the greedy fill would never finish
+    with pytest.raises(LiaisonkitError, match="surface degree must be >= 1"):
+        generic_points_h_vector(5, surface_degree=surface_degree)
+    with pytest.raises(LiaisonkitError, match="surface degree must be >= 1"):
+        growth_envelope(4, "P3", surface_degree)
 
 
 def test_gorenstein_examples():

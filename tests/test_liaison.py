@@ -2,7 +2,11 @@
 (update formula vs adjunction; h-vector linkage vs the degree/genus
 formulas), involutions, and search determinism."""
 
+import json
 import random
+from collections import Counter
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,9 @@ from liaisonkit.errors import LiaisonkitError, LinkageError, MissingWitnessError
 from liaisonkit.hvectors import HVector, link_h_vector
 from liaisonkit.lattice import DivisorClass, arithmetic_genus, degree, intersect
 from liaisonkit.liaison import (
+    BILIAISON,
+    G_LINK,
+    REWITNESS,
     REWITNESS_TABLE,
     Chain,
     SearchFailure,
@@ -21,9 +28,16 @@ from liaisonkit.liaison import (
     family_dimension,
     g_link_on_surface,
     hilbert_dim_lower_bound,
+    screened_moves,
     validate_rewitness_table,
 )
-from liaisonkit.surfaces import get_surface, lines_on, load_catalog
+from liaisonkit.surfaces import (
+    get_surface,
+    is_effective_candidate,
+    lines_on,
+    load_catalog,
+    screen_rows,
+)
 
 B = DivisorClass.blownup
 SCROLL = get_surface("cubic_scroll")
@@ -33,6 +47,7 @@ BORDIGA = get_surface("bordiga_6")
 P4_SURFACES = [
     s for s in load_catalog().values() if s.ambient == "P4" and s.basis == "blownup_plane"
 ]
+CHAIN_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "chain_search.json"
 
 
 def test_biliaison_examples():
@@ -313,3 +328,94 @@ def test_descending_search_mode():
     assert isinstance(result, Chain)
     assert result.end.dg == (7, 3)
     assert not result.ascending_only
+
+
+def test_chain_search_oracle():
+    # the summary bench/worker.py compares: found, liaison steps, end (d, g)
+    table = json.loads(CHAIN_ORACLE.read_text())["table"]
+    assert len(table) == 83
+    for key, expected in table.items():
+        (d, g), ascending_only = json.loads(key)
+        result = ascending_chain_search((d, g), ascending_only=ascending_only)
+        if isinstance(result, SearchFailure):
+            got = [False, None, None]
+        else:
+            got = [True, result.liaison_steps, list(result.end.dg) if result.end else None]
+        assert got == expected, key
+
+
+def test_screened_moves_match_the_class_screen():
+    """The tuple screen keeps a move exactly when the degree window, the
+    coefficient box and is_effective_candidate on the built class do."""
+    rng = random.Random(47)
+    cap = 40
+    rejected = Counter()
+    for surface in P4_SURFACES + [get_surface("quadric_p3")]:
+        rows = screen_rows(surface)
+        for _ in range(200):
+            spread = rng.choice((3, 8, 62))
+            c = tuple(rng.randint(-spread, spread) for _ in surface.H.coeffs)
+            C = DivisorClass(surface.basis, c)
+            for ascending_only in (True, False):
+                if ascending_only:
+                    top = (cap - degree(C, surface)) // surface.degree
+                    heights = range(1, top + 1)
+                    twists = ()
+                else:
+                    heights = [h for h in range(-3, 4) if h != 0]
+                    twists = range(1, 5)
+                cands = [((BILIAISON, h), C + h * surface.H) for h in heights]
+                cands += [((G_LINK, m), m * surface.H - surface.K - C) for m in twists]
+                want = []
+                for move, cand in cands:
+                    if not 1 <= degree(cand, surface) <= cap:
+                        rejected["degree"] += 1
+                    elif any(abs(x) > 60 for x in cand.coeffs):
+                        rejected["box"] += 1
+                    elif not is_effective_candidate(surface, cand):
+                        rejected[move[0], surface.basis] += 1
+                    else:
+                        want.append((move, (surface.id, cand.coeffs)))
+                got = list(screened_moves(surface, rows, c, ascending_only, cap))
+                assert got == want, (surface.id, c, ascending_only)
+    # every filter decided some candidates on its own
+    assert rejected["degree"] and rejected["box"]
+    assert rejected[BILIAISON, "blownup_plane"] and rejected[G_LINK, "blownup_plane"]
+
+
+def _alternate_catalog(tmp_path, **replaced):
+    """A catalog file of the packaged del_pezzo_4 and cubic_scroll records,
+    with fields of cubic_scroll replaced."""
+    raw = json.loads(resources.files("liaisonkit.data").joinpath("surfaces.json").read_text())
+    records = {s["id"]: s for s in raw["surfaces"]}
+    scroll = dict(records["cubic_scroll"], **replaced)
+    path = tmp_path / "alt.json"
+    path.write_text(json.dumps({"surfaces": [records["del_pezzo_4"], scroll]}))
+    return str(path)
+
+
+def test_search_seeds_from_an_alternate_catalog(tmp_path):
+    alt = _alternate_catalog(tmp_path, id="my_scroll")
+    start = CurveRecord.on_surface(get_surface("my_scroll", alt), B((2, 2)), rao=RaoTag.zero())
+    chain = ascending_chain_search((5, 0), surfaces=["my_scroll"], starts=[start], catalog_path=alt)
+    assert isinstance(chain, Chain)
+    assert chain.liaison_steps == 1 and chain.end.witness.cls == B((4, 3))
+    assert chain.end.witness_surface() == get_surface("my_scroll", alt)
+
+
+def test_rewitness_hops_hold_on_the_search_catalog(tmp_path):
+    # (2;1,1,0,0,0) on del_pezzo_4 is a (4, 0) curve; the table re-witnesses it
+    # as (2;0) on cubic_scroll, which has (d, g) = (6, 0) when H = (3;1)
+    target = ("cubic_scroll", B((2, 0)))
+    surfaces = ["cubic_scroll", "del_pezzo_4"]
+    packaged = CurveRecord.on_surface(DP, B((2, 1, 1, 0, 0, 0)))
+    chain = ascending_chain_search(target, surfaces=surfaces, starts=[packaged], max_steps=1)
+    assert [s.kind for s in chain.steps] == [REWITNESS]
+
+    alt = _alternate_catalog(tmp_path, H=[3, 1], degree=8, sectional_genus=1)
+    dp = get_surface("del_pezzo_4", alt)
+    start = CurveRecord.on_surface(dp, B((2, 1, 1, 0, 0, 0)))
+    result = ascending_chain_search(
+        target, surfaces=surfaces, starts=[start], max_steps=1, catalog_path=alt
+    )
+    assert isinstance(result, SearchFailure)
