@@ -13,13 +13,19 @@ import pytest
 from liaisonkit import cli
 
 
-def test_divisor_eval_on_alternate_catalog(tmp_path, capsys):
+@pytest.fixture
+def scroll_catalog(tmp_path):
+    """A catalog file whose only surface is the cubic scroll, renamed my_scroll."""
     raw = json.loads(resources.files("liaisonkit.data").joinpath("surfaces.json").read_text())
     scroll = next(s for s in raw["surfaces"] if s["id"] == "cubic_scroll")
     alt = tmp_path / "alt.json"
     alt.write_text(json.dumps({"surfaces": [dict(scroll, id="my_scroll")]}))
+    return str(alt)
+
+
+def test_divisor_eval_on_alternate_catalog(scroll_catalog, capsys):
     code = cli.main(
-        ["divisor", "eval", "my_scroll", "2;1", "--catalog", str(alt), "--format", "json"]
+        ["divisor", "eval", "my_scroll", "2;1", "--catalog", scroll_catalog, "--format", "json"]
     )
     assert code == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
@@ -71,15 +77,11 @@ def test_start_with_wrong_coefficient_count_is_invalid_invocation(capsys):
     assert "--start on cubic_scroll needs 2 coefficients, got 3" in capsys.readouterr().err
 
 
-def test_chain_search_on_alternate_catalog(tmp_path, capsys):
-    raw = json.loads(resources.files("liaisonkit.data").joinpath("surfaces.json").read_text())
-    scroll = next(s for s in raw["surfaces"] if s["id"] == "cubic_scroll")
-    alt = tmp_path / "alt.json"
-    alt.write_text(json.dumps({"surfaces": [dict(scroll, id="my_scroll")]}))
+def test_chain_search_on_alternate_catalog(scroll_catalog, capsys):
     code = cli.main(
         [
             "biliaison", "chain", "--target", "5,0", "--start", "my_scroll:2;2",
-            "--catalog", str(alt), "--format", "json",
+            "--catalog", scroll_catalog, "--format", "json",
         ]
     )
     assert code == cli.EXIT_OK
