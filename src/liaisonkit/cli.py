@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import InvalidInvocationError, LiaisonkitError
+from .errors import InvalidInvocationError, LiaisonkitError, UnsupportedSurfaceError
 from .lattice import DivisorClass
 from .surfaces import get_surface, lines_on, conic_classes, surface_ids
 from .curves import CurveRecord
@@ -105,14 +105,22 @@ def _cmd_biliaison_chain(args) -> int:
                 f"--start on {sid} needs {rank} coefficients, got {len(values)}"
             )
         starts = [CurveRecord.on_surface(surface, DivisorClass(surface.basis, values))]
-    result = ascending_chain_search(
-        (d, g),
-        surfaces=surfaces,
-        ascending_only=not args.any_direction,
-        max_steps=args.max_steps,
-        starts=starts,
-        catalog_path=args.catalog,
-    )
+    try:
+        result = ascending_chain_search(
+            (d, g),
+            surfaces=surfaces,
+            ascending_only=not args.any_direction,
+            max_steps=args.max_steps,
+            starts=starts,
+            catalog_path=args.catalog,
+        )
+    except UnsupportedSurfaceError as exc:
+        if starts is not None:
+            raise
+        raise InvalidInvocationError(
+            f"{exc}: use --start SURFACE:COEFFS, "
+            "e.g. --start quadric_p3:1,0 for a ruling of the quadric"
+        ) from None
     if isinstance(result, SearchFailure):
         _emit(
             {

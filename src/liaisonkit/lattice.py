@@ -47,7 +47,8 @@ class DivisorClass:
         if not isinstance(self.coeffs, tuple):
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
         for c in self.coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
+            # the exact-int test settles almost every entry at once
+            if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)):
                 raise InvalidClassError(f"non-integer coefficient {c!r}")
         if self.basis == QUADRIC and len(self.coeffs) != 2:
             raise InvalidClassError(

@@ -15,7 +15,12 @@ import logging
 from dataclasses import dataclass, field
 from operator import add, mul
 
-from .errors import LiaisonkitError, LinkageError, MissingWitnessError
+from .errors import (
+    LiaisonkitError,
+    LinkageError,
+    MissingWitnessError,
+    UnsupportedSurfaceError,
+)
 from .lattice import (
     BLOWNUP_PLANE,
     DivisorClass,
@@ -431,6 +436,12 @@ def ascending_chain_search(
     seed_tags = {}
     if starts is None:
         for sid, surface in models.items():
+            if surface.basis != BLOWNUP_PLANE:
+                raise UnsupportedSurfaceError(
+                    f"{sid} has no default line seeds (lines are enumerated on "
+                    f"blownup_plane lattices only; {sid} is a {surface.basis}), "
+                    "so starts must be given"
+                )
             for line in lines_on(surface).classes:
                 seed_tags[(sid, line.coeffs)] = RaoTag.zero()
     else:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -202,6 +203,15 @@ def surface_family_dim(surface: SurfaceModel) -> int:
 # Algebraic Geometry, ch. 8; Manin, Cubic Forms).  Callers that test only
 # invariants iterate class_representatives; enumerate_classes expands
 # every orbit into its distinct permutations.
+#
+# Block-order lower bound.  Suppose positions i..n-1 all carry one
+# weight w (always so for i = n - 1).  They lie in one set of
+# equal-weight positions, so in a representative b_i is the largest of
+# b_i..b_{n-1} and their sum is at most (n - i) b_i.  With w > 0 the
+# remaining weighted sum rem_w = w * (b_i + .. + b_{n-1}) gives
+# b_i >= ceil(rem_w / (w (n - i))); when sum(b) is pinned, the remaining
+# sum rem_p gives b_i >= ceil(rem_p / (n - i)) for any w.  Both bounds
+# are exact: a smaller b_i has no completion, so no tuple is dropped.
 # ---------------------------------------------------------------------------
 
 
@@ -226,15 +236,22 @@ def _weight_blocks(weights) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values() if len(g) > 1]
 
 
-def _b_solutions(weights, wsum, psum, sq_lo, sq_hi):
-    """Orbit representatives of the integer tuples b with
-    sum(b_i w_i) = wsum, optional sum(b_i) = psum, and
-    sq_lo <= sum(b_i^2) <= sq_hi: the tuples that do not increase along
-    each set of equal-weight positions.  Depth-first with exact
-    Cauchy-Schwarz pruning on both running constraints."""
+def _b_solver(weights):
+    """The representative search for one weights tuple.
+
+    Returns ``solutions(wsum, psum, sq_lo, sq_hi)``: the orbit
+    representatives of the integer tuples b with sum(b_i w_i) = wsum,
+    optional sum(b_i) = psum (``None`` leaves it free), and
+    sq_lo <= sum(b_i^2) <= sq_hi, in lexicographic order; these are the
+    tuples that do not increase along each set of equal-weight positions.
+    Depth-first with exact Cauchy-Schwarz pruning on both running
+    constraints and the block-order lower bound above.  The tables below
+    depend on the weights alone and are built once.
+
+    >>> _b_solver((1, 1))(2, None, 0, 4)
+    [(1, 1), (2, 0)]
+    """
     n = len(weights)
-    if sq_hi < 0:
-        return []
     suffix_wsq = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_wsq[i] = suffix_wsq[i + 1] + weights[i] * weights[i]
@@ -242,30 +259,45 @@ def _b_solutions(weights, wsum, psum, sq_lo, sq_hi):
     for block in _weight_blocks(weights):
         for j, i in zip(block, block[1:]):
             prev_same[i] = j
+    # run[i] = n - i when positions i..n-1 share one weight, else 0
+    run = [0] * n
+    for i in range(n - 1, -1, -1):
+        if i == n - 1 or (weights[i] == weights[i + 1] and run[i + 1]):
+            run[i] = n - i
+    run_w = [k * w if w > 0 else 0 for k, w in zip(run, weights)]
 
-    out = []
+    def solutions(wsum, psum, sq_lo, sq_hi):
+        if sq_hi < 0:
+            return []
+        out = []
 
-    def rec(i, rem_w, rem_p, budget, acc):
-        if i == n:
-            if rem_w == 0 and (psum is None or rem_p == 0):
-                used = sq_hi - budget
-                if used >= sq_lo:
-                    out.append(tuple(acc))
-            return
-        k = n - i
-        if rem_w * rem_w > budget * suffix_wsq[i]:
-            return
-        if psum is not None and rem_p * rem_p > budget * k:
-            return
-        top = math.isqrt(budget)
-        hi = top if prev_same[i] is None else min(top, acc[prev_same[i]])
-        for b in range(-top, hi + 1):
-            acc.append(b)
-            rec(i + 1, rem_w - b * weights[i], rem_p - b, budget - b * b, acc)
-            acc.pop()
+        def rec(i, rem_w, rem_p, budget, acc):
+            if i == n:
+                if rem_w == 0 and (psum is None or rem_p == 0):
+                    used = sq_hi - budget
+                    if used >= sq_lo:
+                        out.append(tuple(acc))
+                return
+            if rem_w * rem_w > budget * suffix_wsq[i]:
+                return
+            if psum is not None and rem_p * rem_p > budget * (n - i):
+                return
+            top = math.isqrt(budget)
+            hi = top if prev_same[i] is None else min(top, acc[prev_same[i]])
+            lo = -top
+            if run_w[i]:
+                lo = max(lo, -(-rem_w // run_w[i]))
+            if run[i] and psum is not None:
+                lo = max(lo, -(-rem_p // run[i]))
+            for b in range(lo, hi + 1):
+                acc.append(b)
+                rec(i + 1, rem_w - b * weights[i], rem_p - b, budget - b * b, acc)
+                acc.pop()
 
-    rec(0, wsum, 0 if psum is None else psum, sq_hi, [])
-    return out
+        rec(0, wsum, 0 if psum is None else psum, sq_hi, [])
+        return out
+
+    return solutions
 
 
 def _multiset_permutations(values):
@@ -291,18 +323,44 @@ def _multiset_permutations(values):
         p[i + 1 :] = reversed(p[i + 1 :])
 
 
-def _orbit(coeffs, blocks):
-    """The distinct tuples obtained from ``coeffs`` by permuting the
-    entries within each block of positions."""
-    out = list(coeffs)
-    arrangements = [
-        list(_multiset_permutations([coeffs[i] for i in block])) for block in blocks
-    ]
-    for combo in itertools.product(*arrangements):
-        for block, values in zip(blocks, combo):
-            for i, v in zip(block, values):
-                out[i] = v
-        yield tuple(out)
+def _orbit_tuples(reps, rank, blocks):
+    """Every distinct tuple in the orbits of the coefficient tuples
+    ``reps``, sorted: the entries permuted within each block of
+    positions (``blocks`` is nonempty and holds no position 0, so
+    ``rank >= 3``).
+
+    An orbit depends only on which entries of each block are equal.  So
+    the representatives are grouped by a key that maps every block
+    position to the first position of its block holding the same value.
+    Each distinct arrangement of a key's source positions becomes one
+    ``itemgetter`` over the coefficients, built once for the whole group;
+    an output tuple is one getter call, and with ``rank >= 3`` a getter
+    always returns a tuple.
+
+    >>> _orbit_tuples([(5, 2, 7, 0), (1, 3, 0, 3)], 4, [(1, 3)])
+    [(1, 3, 0, 3), (5, 0, 7, 2), (5, 2, 7, 0)]
+    """
+    moved = [p for block in blocks for p in block]
+    fixed = tuple(p for p in range(rank) if p not in moved)
+    # puts the entries of fixed + moved at the positions they stand for
+    place = itemgetter(*sorted(range(rank), key=[*fixed, *moved].__getitem__))
+    groups = {}
+    for coeffs in reps:
+        key = []
+        for block in blocks:
+            values = [coeffs[p] for p in block]
+            key.append(tuple(block[values.index(v)] for v in values))
+        groups.setdefault(tuple(key), []).append(coeffs)
+    out = []
+    for key, group in groups.items():
+        getters = [
+            itemgetter(*place(fixed + sum(sources, ())))
+            for sources in itertools.product(*map(_multiset_permutations, key))
+        ]
+        for coeffs in group:
+            out += [get(coeffs) for get in getters]
+    out.sort()
+    return out
 
 
 def class_representatives(
@@ -359,6 +417,7 @@ def class_representatives(
         return []
     qset = set(q_list)
     h = surface.H.coeffs
+    b_solutions = _b_solver(h[1:])
     found = []
     for a in _a_range(surface, deg, min(q_list[0], 0)):
         wsum = a * h[0] - deg
@@ -369,12 +428,12 @@ def class_representatives(
                     continue
                 # L.K = 2g - 2 - q with K = (-3; -1..-1) pins sum(b_i).
                 psum = 3 * a + (2 * genus - 2 - q)
-                found += [(a,) + b for b in _b_solutions(h[1:], wsum, psum, sq, sq)]
+                found += [(a,) + b for b in b_solutions(wsum, psum, sq, sq)]
         else:
             # one sweep over the whole square-budget window
             sq_lo = max(a * a - q_list[-1], 0)
             sq_hi = a * a - q_list[0]
-            for b in _b_solutions(h[1:], wsum, None, sq_lo, sq_hi):
+            for b in b_solutions(wsum, None, sq_lo, sq_hi):
                 if a * a - sum(x * x for x in b) in qset:
                     found.append((a,) + b)
     classes = [DivisorClass.blownup(c) for c in sorted(found)]
@@ -399,11 +458,12 @@ def enumerate_classes(
     (sorted coefficient tuples).
     """
     reps = class_representatives(surface, deg, genus, self_ints, min_self)
-    if surface.basis == QUADRIC:
-        return reps
     blocks = [tuple(i + 1 for i in b) for b in _weight_blocks(surface.H.coeffs[1:])]
-    expanded = sorted(itertools.chain.from_iterable(_orbit(c.coeffs, blocks) for c in reps))
-    return [DivisorClass.blownup(c) for c in expanded]
+    if not blocks:
+        # no two points share a weight (the quadric too): orbits are single classes
+        return reps
+    expanded = _orbit_tuples([c.coeffs for c in reps], len(surface.H.coeffs), blocks)
+    return [DivisorClass(BLOWNUP_PLANE, c) for c in expanded]
 
 
 @lru_cache(maxsize=None)

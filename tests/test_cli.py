@@ -71,6 +71,15 @@ def test_start_seed_on_the_quadric_lattice(capsys):
     ]
 
 
+@pytest.mark.parametrize("surfaces", ["quadric_p3", "cubic_scroll,quadric_p3"])
+def test_chain_on_the_quadric_without_start_is_invalid_invocation(surfaces, capsys):
+    code = cli.main(["biliaison", "chain", "--target", "3,0", "--surfaces", surfaces])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "quadric_p3 has no default line seeds" in err
+    assert "--start quadric_p3:1,0" in err
+
+
 def test_start_with_wrong_coefficient_count_is_invalid_invocation(capsys):
     code = cli.main(["biliaison", "chain", "--target", "5,0", "--start", "cubic_scroll:1,1,1"])
     assert code == cli.EXIT_INVALID

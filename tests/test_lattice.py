@@ -83,6 +83,25 @@ def test_class_validation():
         B((1, 2)) * 1.5
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1"])
+def test_coefficient_check_rejects_non_integers(bad):
+    # the exact-int shortcut must not let a bool, float or string through
+    for coeffs in [(bad, 1), (1, bad)]:
+        with pytest.raises(InvalidClassError, match="non-integer coefficient"):
+            B(coeffs)
+        with pytest.raises(InvalidClassError, match="non-integer coefficient"):
+            Q(coeffs)
+
+
+def test_coefficient_check_accepts_int_subclasses():
+    class Count(int):
+        pass
+
+    c = B((Count(2), 1))
+    assert type(c.coeffs[0]) is Count
+    assert c == B((2, 1)) and intersect(c, c) == 3
+
+
 def _random_class(rng, n):
     return B(tuple(rng.randint(-50, 50) for _ in range(n + 1)))
 

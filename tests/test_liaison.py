@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 from liaisonkit.curves import CurveRecord, RaoTag
-from liaisonkit.errors import LiaisonkitError, LinkageError, MissingWitnessError
+from liaisonkit.errors import (
+    LiaisonkitError,
+    LinkageError,
+    MissingWitnessError,
+    UnsupportedSurfaceError,
+)
 from liaisonkit.hvectors import HVector, link_h_vector
 from liaisonkit.lattice import DivisorClass, arithmetic_genus, degree, intersect
 from liaisonkit.liaison import (
@@ -259,6 +264,8 @@ def test_search_rejects_bad_input():
         ascending_chain_search((5, 0), surfaces=["cubic_scroll"], starts=[])
     with pytest.raises(MissingWitnessError):
         ascending_chain_search((5, 0), starts=[CurveRecord.abstract(2, -1)])
+    with pytest.raises(UnsupportedSurfaceError, match="quadric_p3 has no default line seeds"):
+        ascending_chain_search((3, 0), surfaces=["cubic_scroll", "quadric_p3"])
     with pytest.raises(LiaisonkitError, match="del_pezzo_4.*cubic_scroll"):
         ascending_chain_search(
             ("del_pezzo_4", B((5, 3, 1, 1, 1, 1))), surfaces=["cubic_scroll"], max_steps=3

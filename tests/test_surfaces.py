@@ -14,6 +14,7 @@ import pytest
 from liaisonkit.errors import CatalogError, UnknownSurfaceError, UnsupportedSurfaceError
 from liaisonkit.lattice import DivisorClass, arithmetic_genus, intersect, self_intersection
 from liaisonkit.surfaces import (
+    _b_solver,
     class_representatives,
     conic_classes,
     enumerate_classes,
@@ -250,6 +251,69 @@ def test_quadric_enumeration_matches_brute_force():
                 ], (d, floor, g)
 
 
+@pytest.mark.parametrize("sid", ["plane_p2", "cubic_scroll"])
+def test_enumeration_without_equal_weights_matches_brute_force(sid):
+    # no two points share a weight, so every orbit is a single class;
+    # plane_p2 has rank 1, where a one-index itemgetter returns a scalar.
+    # On the scroll (a; b) has degree 2a - b and C^2 >= -3 forces
+    # (3a - 2d)^2 <= d^2 + 9, so for d <= 6 the box holds every class.
+    surface = get_surface(sid)
+    box = [
+        B(c) for c in itertools.product(range(-20, 21), repeat=len(surface.H.coeffs))
+    ]
+    invariants = {
+        c.coeffs: (intersect(c, surface.H), self_intersection(c), arithmetic_genus(c, surface))
+        for c in box
+    }
+    for d in range(-1, 7):
+        for floor in (0, -1, -2, -3):
+            want = sorted(c for c, (dd, q, _) in invariants.items() if dd == d and q >= floor)
+            assert [c.coeffs for c in enumerate_classes(surface, d, min_self=floor)] == want
+            assert [c.coeffs for c in class_representatives(surface, d, min_self=floor)] == want
+            genera = {invariants[c][2] for c in want}
+            for g in sorted(genera) + [99]:
+                got = enumerate_classes(surface, d, genus=g, min_self=floor)
+                assert [c.coeffs for c in got] == [c for c in want if invariants[c][2] == g]
+        for ints in [(-1,), (-1, 0), (0, 1, 4), (-3, 9)]:
+            want = sorted(c for c, (dd, q, _) in invariants.items() if dd == d and q in ints)
+            assert [c.coeffs for c in enumerate_classes(surface, d, self_ints=ints)] == want
+
+
+def _box_by_wsum(weights, top):
+    """Every b in [-top, top]^n that does not increase along each set of
+    equal-weight positions, as (b, sum(b), sum(b_i^2)) grouped by
+    sum(b_i w_i): an unpruned box with no bound of _b_solver's."""
+    same = [(i, j) for i, j in itertools.combinations(range(len(weights)), 2)
+            if weights[i] == weights[j]]
+    groups = {}
+    for b in itertools.product(range(-top, top + 1), repeat=len(weights)):
+        if all(b[i] >= b[j] for i, j in same):
+            wsum = sum(x * w for x, w in zip(b, weights))
+            groups.setdefault(wsum, []).append((b, sum(b), sum(x * x for x in b)))
+    return groups
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 2), (1, 0, 0), (2, -1, -1)],
+)
+def test_b_solver_matches_an_unpruned_box(weights):
+    # (1, 2, 1, 1) splits a block; (1, 0, 0) and (2, -1, -1) end on a run
+    # that only the pinned-sum bound applies to.  A square sum of at most
+    # 16 keeps every entry in [-4, 4].
+    solve = _b_solver(weights)
+    box = _box_by_wsum(weights, 4)
+    for sq_lo, sq_hi in [(0, 0), (0, 4), (3, 9), (9, 9), (5, 16), (0, -1)]:
+        for wsum in range(-4, 7):
+            for psum in (None, -2, 0, 1, 3):
+                want = [
+                    b
+                    for b, total, sq in box.get(wsum, ())
+                    if (psum is None or total == psum) and sq_lo <= sq <= sq_hi
+                ]
+                assert solve(wsum, psum, sq_lo, sq_hi) == want, (wsum, psum, sq_lo, sq_hi)
+
+
 def test_enumeration_follows_a_permuted_catalog():
     # equal weights need not be adjacent: moving castelnuovo's weight-2
     # point between the weight-1 points permutes every class the same way
@@ -281,14 +345,13 @@ def test_castelnuovo_degree_9_orbits():
 CENSUS_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "class_census.json"
 
 
-def test_class_census_oracle_cheap_cells():
-    # the benchmark's frozen counts and digests, for every cell that cost
-    # at most 20 ms when frozen; the digest recipe is bench/worker.py's
+def test_class_census_oracle():
+    # the benchmark's frozen counts and digests for every cell, the
+    # 57,890-class anchor included; the digest recipe is bench/worker.py's
     oracle = json.loads(CENSUS_ORACLE.read_text(encoding="utf-8"))
-    cheap = [k for k, ms in oracle["cost_ms"].items() if ms <= 20]
-    assert len(cheap) == 89
+    assert len(oracle["table"]) == 152
     wrong = []
-    for key in cheap:
+    for key, want in oracle["table"].items():
         sid, deg, kind, value = json.loads(key)
         surface = get_surface(sid)
         if kind == "genus":
@@ -297,8 +360,7 @@ def test_class_census_oracle_cheap_cells():
             result = enumerate_classes(surface, deg, min_self=value)
         coeffs = sorted(c.coeffs for c in result)
         text = "\n".join(",".join(map(str, c)) for c in coeffs)
-        summary = [len(coeffs), hashlib.sha256(text.encode()).hexdigest()]
-        if summary != oracle["table"][key]:
+        if [len(coeffs), hashlib.sha256(text.encode()).hexdigest()] != want:
             wrong.append(key)
     assert wrong == []
 
