@@ -146,7 +146,9 @@ def glicci_chain(
     ``mode`` is ``full`` (bidirectional search, ascending links allowed)
     or ``descending_only``.  ``surface_degree`` constrains every
     configuration and every linking scheme to lie on a surface of that
-    degree (P3 only).
+    degree (P3 only).  ``max_intermediate`` caps the point count of every
+    configuration and linking scheme (3n by default); it must be at
+    least n, the count of the first configuration.
 
     States are point counts.  Levels follow the determinism rule of
     :mod:`liaisonkit.search`; a move from m points links through the
@@ -163,6 +165,11 @@ def glicci_chain(
     descending = mode == "descending_only"
     if max_intermediate is None:
         max_intermediate = 3 * n
+    elif max_intermediate < n:
+        raise LiaisonkitError(
+            f"max_intermediate {max_intermediate} is below the start count n={n}; "
+            "every chain passes through the n points"
+        )
 
     generic: dict[int, HVector] = {}
 

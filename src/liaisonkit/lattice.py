@@ -24,7 +24,7 @@ BLOWNUP_PLANE = "blownup_plane"
 QUADRIC = "quadric"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DivisorClass:
     """An integer divisor class in one of the supported lattices.
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from operator import add, mul
 
 from .errors import (
     LiaisonkitError,
@@ -283,23 +282,56 @@ def _default_surfaces(catalog_path: str | None = None) -> list[str]:
     )
 
 
-def _dot(x, y) -> int:
-    return sum(map(mul, x, y))
-
-
-def _tuple_dg(rows: ScreenRows, c) -> tuple[int, int]:
-    """(C.H, genus) of the class with coefficients ``c``, by adjunction
-    (C^2 + C.K)/2 + 1 on the dual rows; C^2 + C.K is always even (see
+def _dg(inv) -> tuple[int, int]:
+    """(degree, genus) from the invariants of a state, by adjunction
+    (C^2 + C.K)/2 + 1; C^2 + C.K is always even (see
     :func:`~liaisonkit.lattice.arithmetic_genus`)."""
-    c2 = sum(v * c[i] * c[j] for i, j, v in rows.form)
-    return _dot(c, rows.H), (c2 + _dot(c, rows.K)) // 2 + 1
+    return inv[0], (inv[1] + inv[2]) // 2 + 1
+
+
+def moved_invariants(rows: ScreenRows, inv, move):
+    """The :meth:`~liaisonkit.surfaces.ScreenRows.invariants` of the class
+    that ``move`` reaches from a class with invariants ``inv``.
+
+    Every line has L.H = 1, so with deg = C.H, p_min = min_L L.C and
+    k_max = max_L (L.K + L.C), the biliaison C + hH has
+
+        deg + h H^2,  C^2 + 2h deg + h^2 H^2,  C.K + h H.K,  p_min + h,  k_max + h,
+
+    and the Gorenstein link mH - K - C has, with D = mH - K,
+
+        m H^2 - H.K - deg,  D^2 - 2(m deg - C.K) + C^2,  m H.K - K^2 - C.K,
+        m - k_max,  m - p_min.
+    """
+    deg, c2, ck, p_min, k_max = inv
+    kind, x = move
+    if kind == BILIAISON:
+        if p_min is not None:
+            p_min, k_max = p_min + x, k_max + x
+        return deg + x * rows.hh, c2 + x * (2 * deg + x * rows.hh), ck + x * rows.hk, p_min, k_max
+    if p_min is not None:
+        p_min, k_max = x - k_max, x - p_min
+    d2 = x * (x * rows.hh - 2 * rows.hk) + rows.kk
+    return (
+        x * rows.hh - rows.hk - deg,
+        d2 - 2 * (x * deg - ck) + c2,
+        x * rows.hk - rows.kk - ck,
+        p_min,
+        k_max,
+    )
 
 
 def screened_moves(
-    surface: SurfaceModel, rows: ScreenRows, c, ascending_only: bool, degree_cap: int
+    surface: SurfaceModel,
+    rows: ScreenRows,
+    c,
+    inv,
+    ascending_only: bool,
+    degree_cap: int,
 ):
     """The ``(move, (surface_id, coeffs))`` pairs of the search from the
-    class with coefficients ``c`` on ``surface``.
+    class with coefficients ``c`` and invariants ``inv`` (see
+    :meth:`~liaisonkit.surfaces.ScreenRows.invariants`) on ``surface``.
 
     Biliaisons C + hH come first (heights 1.. up to the degree cap when
     ``ascending_only``, otherwise -3..3 without 0), then Gorenstein links
@@ -307,19 +339,20 @@ def screened_moves(
     is kept when its degree lies in [1, degree_cap], its coefficients in
     the box, and it passes :func:`is_effective_candidate`.
 
-    That screen runs on integers computed once per class: deg C = C.H and
-    P_L = L.C for every line L of ``rows``.  Every line has L.H = 1, so
+    Only the box needs the candidate's coefficients; the rest reads
+    ``inv = (deg, C^2, C.K, p_min, k_max)`` with p_min = min_L L.C and
+    k_max = max_L (L.K + L.C) over the lines L of ``rows``.  Every line
+    has L.H = 1, so
 
-        L.(C + hH) = P_L + h,      L.(mH - K - C) = m - L.K - P_L,
+        L.(C + hH) = L.C + h,      L.(mH - K - C) = m - L.K - L.C,
 
-    and the screen is min_L P_L + h >= 0 for a biliaison and
-    m >= max_L (L.K + P_L) for a link; its degree test is the lower end
-    of the window.  The kept moves are those of the class-level screen.
+    the degrees are deg + h H^2 and m H^2 - H.K - deg, and the screen is
+    p_min + h >= 0 for a biliaison and m >= k_max for a link; its degree
+    test is the lower end of the window.  The kept moves are those of the
+    class-level screen.
     """
     hh = rows.hh
-    deg = _dot(c, rows.H)
-    prods = [_dot(c, row) for row in rows.lines]
-    p_min = min(prods) if prods else None
+    deg, _, _, p_min, k_max = inv
     if ascending_only:
         heights = range(1, (degree_cap - deg) // hh + 1)
     else:
@@ -328,23 +361,22 @@ def screened_moves(
     for h in heights:
         if not 1 <= deg + h * hh <= degree_cap:
             continue
+        if p_min is not None and p_min + h < 0:
+            continue
         cand = tuple([x + h * y for x, y in zip(c, H)])
         if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
-            continue
-        if p_min is not None and p_min + h < 0:
             continue
         yield (BILIAISON, h), (surface.id, cand)
     if ascending_only:
         return
-    m_min = max(map(add, rows.line_k, prods)) if prods else None
     K = surface.K.coeffs
     for m in range(1, 5):
         if not 1 <= m * hh - rows.hk - deg <= degree_cap:
             continue
+        if k_max is not None and m < k_max:
+            continue
         cand = tuple([m * y - k - x for x, y, k in zip(c, H, K)])
         if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
-            continue
-        if m_min is not None and m < m_min:
             continue
         yield (G_LINK, m), (surface.id, cand)
 
@@ -377,7 +409,16 @@ def ascending_chain_search(
     order of ``starts`` unless two starts share a class with different
     Rao tags (the first one listed wins).  The chain is replayed on
     divisor classes from its root.  Failure is a value
-    (:class:`SearchFailure`).
+    (:class:`SearchFailure`); a target of degree < 1, which no curve
+    has, raises :class:`~liaisonkit.errors.LiaisonkitError`.
+
+    Each state of the level being expanded and of the level being built
+    carries its invariants (deg, C^2, C.K, min_L L.C, max_L (L.K + L.C)).
+    Roots compute them from the dual rows of
+    :func:`~liaisonkit.surfaces.screen_rows` (the default line seeds read
+    its per-line table) and every other state derives them from its
+    parent by :func:`moved_invariants`, so screening a move and matching
+    a (d, g) target take a few integer operations, with no dot product.
     """
     if max_steps < 1:
         raise LiaisonkitError("max_steps must be >= 1")
@@ -404,14 +445,21 @@ def ascending_chain_search(
             )
         target_dg = (degree(cls, models[sid]), None)
         target_state = (sid, cls.coeffs)
+    if target_dg[0] < 1:
+        raise LiaisonkitError(
+            f"target degree {target_dg[0]} < 1: no curve has degree below 1"
+        )
 
     degree_cap = target_dg[0] if ascending_only else target_dg[0] + 2 * max(
         s.degree for s in models.values()
     )
 
+    # invariants of the states of the level being expanded and the level
+    # being built; older levels drop theirs
+    inv: dict = {}
+
     def state_dg(state):
-        sid, c = state
-        return _tuple_dg(rows[sid], c)
+        return _dg(inv[state])
 
     def first_match(states):
         if target_state is not None:
@@ -421,16 +469,20 @@ def ascending_chain_search(
     # the table was checked on the packaged models; keep the hops that
     # hold on this search's models
     hops: dict[tuple[int, int], list] = {}
+    hop_inv = {}
     for dg, entries in REWITNESS_TABLE.items():
         for sid, coeffs in entries:
             surface = models.get(sid)
             if (
-                surface is not None
-                and surface.basis == BLOWNUP_PLANE
-                and len(coeffs) == len(surface.H.coeffs)
-                and _tuple_dg(rows[sid], coeffs) == dg
+                surface is None
+                or surface.basis != BLOWNUP_PLANE
+                or len(coeffs) != len(surface.H.coeffs)
             ):
+                continue
+            hop = rows[sid].invariants(coeffs)
+            if _dg(hop) == dg:
                 hops.setdefault(dg, []).append(((REWITNESS, None), (sid, coeffs)))
+                hop_inv[sid, coeffs] = hop
 
     # Rao tags matter only at the root; the replay in finish derives the rest.
     seed_tags = {}
@@ -442,8 +494,9 @@ def ascending_chain_search(
                     f"blownup_plane lattices only; {sid} is a {surface.basis}), "
                     "so starts must be given"
                 )
-            for line in lines_on(surface).classes:
+            for line, line_inv in zip(lines_on(surface).classes, rows[sid].line_invariants):
                 seed_tags[(sid, line.coeffs)] = RaoTag.zero()
+                inv[sid, line.coeffs] = line_inv
     else:
         for rec in starts:
             if rec.witness is None:
@@ -451,7 +504,9 @@ def ascending_chain_search(
             surface = rec.witness.surface
             if models.get(surface.id) != surface:
                 raise LiaisonkitError(f"seed surface {surface.id} not in the allowed set")
-            seed_tags.setdefault((surface.id, rec.witness.cls.coeffs), rec.rao)
+            state = (surface.id, rec.witness.cls.coeffs)
+            seed_tags.setdefault(state, rec.rao)
+            inv[state] = rows[surface.id].invariants(state[1])
 
     def finish(state):
         (_, root), *path = path_to(parent, state)
@@ -487,22 +542,30 @@ def ascending_chain_search(
 
     def moves(state):
         sid, c = state
-        return screened_moves(models[sid], rows[sid], c, ascending_only, degree_cap)
+        return screened_moves(models[sid], rows[sid], c, inv[state], ascending_only, degree_cap)
 
     def rewitness(state):
         # every state of one (d, g) has the same targets, so one pass closes
         return hops.get(state_dg(state), ())
 
+    def close(states):
+        # a level: its states and the table hops from them, which are roots
+        hopped = expand(states, parent, rewitness)
+        inv.update((s, hop_inv[s]) for s in hopped)
+        return sorted(states + hopped)
+
     parent = dict.fromkeys(seed_tags)
-    frontier = sorted(parent)
-    frontier = sorted(frontier + expand(frontier, parent, rewitness))
+    frontier = close(sorted(parent))
     explored = 0
     frontier_sizes = [len(frontier)]
     hit = first_match(frontier)
     while hit is None and len(frontier_sizes) <= max_steps:
         explored += len(frontier)
         new = expand(frontier, parent, moves)
-        frontier = sorted(new + expand(new, parent, rewitness))
+        inv = {
+            s: moved_invariants(rows[s[0]], inv[parent[s][0]], parent[s][1]) for s in new
+        }
+        frontier = close(new)
         frontier_sizes.append(len(frontier))
         if not frontier:
             break

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from pathlib import Path
 
 from .errors import (
@@ -488,6 +488,10 @@ def lines_on(surface: SurfaceModel) -> LineClassSet:
     return LineClassSet(tuple(classes), flags)
 
 
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
 @dataclass(frozen=True)
 class ScreenRows:
     """Dual rows of the intersection form on one surface, for arithmetic
@@ -499,7 +503,8 @@ class ScreenRows:
     quadric); ``form`` lists the nonzero entries ``(i, j, u_i . u_j)`` of
     the dual rows of the unit classes u, so
     ``x . x == sum(v * x[i] * x[j] for i, j, v in form)``.  ``hh`` is
-    H^2, ``hk`` is H.K and ``line_k`` holds each L.K.
+    H^2, ``hk`` is H.K, ``kk`` is K^2, ``line_k`` holds each L.K and
+    ``line_invariants`` the :meth:`invariants` of each line class.
     """
 
     H: tuple[int, ...]
@@ -508,17 +513,39 @@ class ScreenRows:
     form: tuple[tuple[int, int, int], ...]
     hh: int
     hk: int
+    kk: int
     line_k: tuple[int, ...]
+    line_invariants: tuple[tuple, ...] = ()
+
+    def invariants(self, c) -> tuple:
+        """``(C.H, C^2, C.K, p_min, k_max)`` of the class with coefficients
+        ``c``, where p_min = min_L L.C and k_max = max_L (L.K + L.C) over
+        the lines L; both are None when there are no lines (the quadric, P2).
+
+        >>> screen_rows(get_surface("cubic_scroll")).invariants((2, 1))
+        (3, 3, -5, 1, 0)
+        """
+        prods = [_dot(c, row) for row in self.lines]
+        return (
+            _dot(c, self.H),
+            sum(v * c[i] * c[j] for i, j, v in self.form),
+            _dot(c, self.K),
+            min(prods) if prods else None,
+            max(map(add, self.line_k, prods)) if prods else None,
+        )
 
 
 @lru_cache(maxsize=None)
 def screen_rows(surface: SurfaceModel) -> ScreenRows:
     """The :class:`ScreenRows` of ``surface``; every entry is an
-    ``intersect`` value, so the form keeps its single definition.
+    ``intersect`` value or computed from them, so the form keeps its
+    single definition.
 
     >>> rows = screen_rows(get_surface("cubic_scroll"))
     >>> rows.H, rows.lines, rows.line_k
     ((2, -1), ((0, 1), (1, -1)), (-1, -2))
+    >>> rows.line_invariants
+    ((1, -1, -1, -1, -1), (1, 0, -2, 0, 0))
     """
     rank = len(surface.H.coeffs)
     units = [
@@ -530,7 +557,7 @@ def screen_rows(surface: SurfaceModel) -> ScreenRows:
         return tuple(intersect(u, y) for u in units)
 
     lines = lines_on(surface).classes if surface.basis == BLOWNUP_PLANE else ()
-    return ScreenRows(
+    rows = ScreenRows(
         H=row(surface.H),
         K=row(surface.K),
         lines=tuple(row(line) for line in lines),
@@ -539,8 +566,10 @@ def screen_rows(surface: SurfaceModel) -> ScreenRows:
         ),
         hh=intersect(surface.H, surface.H),
         hk=intersect(surface.H, surface.K),
+        kk=intersect(surface.K, surface.K),
         line_k=tuple(intersect(line, surface.K) for line in lines),
     )
+    return replace(rows, line_invariants=tuple(rows.invariants(line.coeffs) for line in lines))
 
 
 @lru_cache(maxsize=None)

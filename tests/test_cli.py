@@ -123,6 +123,19 @@ def test_glicci_surface_degree_below_one_exits_2(degree, capsys):
     assert "surface degree must be >= 1" in capsys.readouterr().err
 
 
+def test_glicci_max_intermediate_below_points_exits_2(capsys):
+    code = cli.main(["glicci", "--points", "5", "--max-intermediate", "3"])
+    assert code == cli.EXIT_INVALID
+    assert "max_intermediate 3 is below the start count n=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["0,0", "-2,1"])
+def test_chain_target_below_degree_one_exits_2(target, capsys):
+    code = cli.main(["biliaison", "chain", f"--target={target}"])
+    assert code == cli.EXIT_INVALID
+    assert "no curve has degree below 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

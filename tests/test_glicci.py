@@ -231,6 +231,14 @@ def test_failure_is_a_value():
     assert not result.found
 
 
+def test_max_intermediate_below_n_is_rejected():
+    with pytest.raises(LiaisonkitError, match="max_intermediate 3 is below the start count n=5"):
+        glicci_chain(5, max_intermediate=3)
+    # equal to n stays legal
+    assert glicci_chain(1, max_intermediate=1).counts == (1,)
+    assert isinstance(glicci_chain(3, max_intermediate=3), GlicciFailure)
+
+
 def test_input_validation():
     with pytest.raises(LiaisonkitError):
         glicci_chain(0)

@@ -33,6 +33,7 @@ from liaisonkit.liaison import (
     family_dimension,
     g_link_on_surface,
     hilbert_dim_lower_bound,
+    moved_invariants,
     screened_moves,
     validate_rewitness_table,
 )
@@ -270,6 +271,10 @@ def test_search_rejects_bad_input():
         ascending_chain_search(
             ("del_pezzo_4", B((5, 3, 1, 1, 1, 1))), surfaces=["cubic_scroll"], max_steps=3
         )
+    # no curve has degree < 1, as a (d, g) or a class target
+    for target in [(0, 0), (-2, 1), ("cubic_scroll", B((0, 0))), ("cubic_scroll", B((0, 1)))]:
+        with pytest.raises(LiaisonkitError, match="no curve has degree below 1"):
+            ascending_chain_search(target, surfaces=["cubic_scroll"])
 
 
 def test_any_direction_failure_counts():
@@ -351,9 +356,22 @@ def test_chain_search_oracle():
         assert got == expected, key
 
 
+def _class_invariants(surface, C):
+    """(C.H, C^2, C.K, min_L L.C, max_L (L.K + L.C)) by intersect on the class."""
+    lines = lines_on(surface).classes if surface.basis == "blownup_plane" else ()
+    prods = [intersect(line, C) for line in lines]
+    return (
+        degree(C, surface),
+        intersect(C, C),
+        intersect(C, surface.K),
+        min(prods) if prods else None,
+        max(intersect(line, surface.K) + p for line, p in zip(lines, prods)) if prods else None,
+    )
+
+
 def test_screened_moves_match_the_class_screen():
-    """The tuple screen keeps a move exactly when the degree window, the
-    coefficient box and is_effective_candidate on the built class do."""
+    """The invariant screen keeps a move exactly when the degree window,
+    the coefficient box and is_effective_candidate on the built class do."""
     rng = random.Random(47)
     cap = 40
     rejected = Counter()
@@ -363,6 +381,7 @@ def test_screened_moves_match_the_class_screen():
             spread = rng.choice((3, 8, 62))
             c = tuple(rng.randint(-spread, spread) for _ in surface.H.coeffs)
             C = DivisorClass(surface.basis, c)
+            inv = _class_invariants(surface, C)
             for ascending_only in (True, False):
                 if ascending_only:
                     top = (cap - degree(C, surface)) // surface.degree
@@ -383,11 +402,42 @@ def test_screened_moves_match_the_class_screen():
                         rejected[move[0], surface.basis] += 1
                     else:
                         want.append((move, (surface.id, cand.coeffs)))
-                got = list(screened_moves(surface, rows, c, ascending_only, cap))
+                got = list(screened_moves(surface, rows, c, inv, ascending_only, cap))
                 assert got == want, (surface.id, c, ascending_only)
     # every filter decided some candidates on its own
     assert rejected["degree"] and rejected["box"]
     assert rejected[BILIAISON, "blownup_plane"] and rejected[G_LINK, "blownup_plane"]
+
+
+BLOWNUP_SURFACES = [s for s in load_catalog().values() if s.basis == "blownup_plane"]
+
+
+@pytest.mark.parametrize(
+    "surface", BLOWNUP_SURFACES + [get_surface("quadric_p3")], ids=lambda s: s.id
+)
+def test_moved_invariants_match_the_lattice(surface):
+    """Invariants carried along random walks of biliaisons and G-links
+    equal those recomputed on the built class, and give its (d, g)."""
+    rng = random.Random(48)
+    rows = screen_rows(surface)
+    if surface.basis == "blownup_plane":
+        starts = [surface.H, *lines_on(surface).classes]
+    else:
+        starts = [surface.H, DivisorClass.quadric((1, 0)), DivisorClass.quadric((0, 1))]
+    for walk in range(40):
+        C = rng.choice(starts)
+        inv = rows.invariants(C.coeffs)
+        for _ in range(8):
+            if rng.random() < 0.5:
+                move = (BILIAISON, rng.choice((-3, -2, -1, 1, 2, 3)))
+                C = C + move[1] * surface.H
+            else:
+                move = (G_LINK, rng.randint(1, 4))
+                C = move[1] * surface.H - surface.K - C
+            inv = moved_invariants(rows, inv, move)
+            assert inv == _class_invariants(surface, C) == rows.invariants(C.coeffs), (walk, C)
+            genus = (inv[1] + inv[2]) // 2 + 1
+            assert (inv[0], genus) == (degree(C, surface), arithmetic_genus(C, surface))
 
 
 def _alternate_catalog(tmp_path, **replaced):
