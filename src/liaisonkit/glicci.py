@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
+from math import comb
+from operator import sub
 
 from .errors import LiaisonkitError, LinkageError
 from .hvectors import (
-    AMBIENT_CODIM,
     HVector,
+    _ambient_codim,
+    _require_int,
     generic_points_h_vector,
     growth_envelope,
     link_h_vector,
@@ -27,15 +31,18 @@ from .search import expand, path_to
 DEFAULT_SOCLE_BOUND = 12
 
 
-@lru_cache(maxsize=None)
-def _gorenstein_h_vectors(codim: int, max_mass: int, socle_bound: int) -> tuple[HVector, ...]:
+def _build_gorenstein_h_vectors(
+    codim: int, max_mass: int, socle_bound: int
+) -> tuple[HVector, ...]:
     """All Gorenstein h-vectors of the codimension with mass <= max_mass
     and socle degree <= socle_bound, in lexicographic order.
 
     Each vector is the symmetric completion of a first half whose first
     difference is built as an O-sequence with h(1) <= codim, so it is an
     SI-sequence by construction; ``is_gorenstein_h_vector`` stays the
-    test oracle."""
+    test oracle.  The search prunes on sum(half) <= max_mass, which is at
+    most the mass of every completion below it, so a build capped at m is
+    the mass filter of any build capped higher, order included."""
     found = []
 
     def build(first_half, s):
@@ -67,19 +74,112 @@ def _gorenstein_h_vectors(codim: int, max_mass: int, socle_bound: int) -> tuple[
     return tuple(sorted(set(found), key=lambda h: h.entries))
 
 
+def _check_socle_bound(socle_bound) -> None:
+    _require_int("socle_bound", socle_bound)
+    if socle_bound < 0:
+        raise LiaisonkitError(f"socle_bound must be >= 0, got {socle_bound}")
+
+
+def _saturation(codim: int, socle_bound: int) -> int:
+    """Largest mass of a Gorenstein h-vector of the codimension with socle
+    degree <= socle_bound: no cap at or above it prunes the table.
+
+    The half (binom(i + codim - 1, codim - 1))_i has maximal growth in
+    every degree, so it dominates every first half entrywise, and mass
+    grows with the socle degree, so the maximum is at socle_bound
+    (140 for (3, 12), 49 for (2, 12))."""
+    half = [comb(i + codim - 1, codim - 1) for i in range(socle_bound // 2 + 1)]
+    return 2 * sum(half) - (half[-1] if socle_bound % 2 == 0 else 0)
+
+
+class _Node:
+    """Prefix-index node: the table entries that share one prefix, in
+    lexicographic order, with their masses and the least and largest of
+    those masses, and one child per value of the entry after the prefix,
+    by ascending value."""
+
+    __slots__ = ("children", "below", "masses", "lo", "hi")
+
+    def __init__(self, children, below, masses, lo, hi):
+        self.children = children
+        self.below = below
+        self.masses = masses
+        self.lo = lo
+        self.hi = hi
+
+
+def _index(table: tuple[HVector, ...], masses: tuple[int, ...], depth: int) -> _Node:
+    # table: lexicographically sorted entries sharing a prefix of length
+    # depth; the prefix itself, if it is an entry, comes first, and the
+    # longer entries follow in runs of equal entry at index depth
+    children = []
+    i = 1 if len(table[0].entries) == depth else 0
+    while i < len(table):
+        v = table[i].entries[depth]
+        j = i + 1
+        while j < len(table) and table[j].entries[depth] == v:
+            j += 1
+        children.append((v, _index(table[i:j], masses[i:j], depth + 1)))
+        i = j
+    return _Node(tuple(children), table, masses, min(masses), max(masses))
+
+
+@lru_cache(maxsize=None)
+def _gorenstein_h_vectors(codim: int, mass_cap: int, socle_bound: int) -> _Node:
+    """The Gorenstein table of the codimension, capped at ``mass_cap`` and
+    socle degree ``socle_bound``, as the root of a prefix index over its
+    entry tuples.  Built on first use, never at import.
+
+    ``ag_candidates_containing`` asks only for caps that are powers of two
+    or the saturation ``_saturation(codim, socle_bound)``, and serves a
+    smaller ``max_mass`` as a mass filter of the table, which equals a
+    build capped at ``max_mass``.  Every cap at or above saturation is the
+    one saturated table (367 entries for (3, 12)), shared by all larger
+    configurations; doubling caps keep the table of a small configuration
+    small at a large socle bound (the saturated (3, 30) table has 196,573
+    entries)."""
+    table = _build_gorenstein_h_vectors(codim, mass_cap, socle_bound)
+    return _index(table, tuple(w.mass for w in table), 0)
+
+
 def ag_candidates_containing(
     z: HVector, max_mass: int, socle_bound: int = DEFAULT_SOCLE_BOUND
 ) -> list[HVector]:
     """Gorenstein h-vectors w with z <= w componentwise and mass at most
-    ``max_mass``, in deterministic lexicographic order."""
+    ``max_mass``, in deterministic lexicographic order.
+
+    Walks the prefix index of a cached table (see ``_gorenstein_h_vectors``)
+    whose cap is at least ``max_mass``: a branch is dropped once its entry
+    at depth i is below z(i) or its least mass is above ``max_mass``; at
+    depth len(z) every entry below the node contains z, and the node's
+    lexicographic list is appended, filtered by mass only when the node's
+    largest mass is above ``max_mass``.  The walk costs in proportion to
+    the output, not to the table."""
+    if z.ambient_codim not in (2, 3):
+        raise LiaisonkitError(f"unsupported codimension {z.ambient_codim}")
+    _require_int("max_mass", max_mass)
+    _check_socle_bound(socle_bound)
     if max_mass < z.mass:
         raise LiaisonkitError("max_mass below the mass of the configuration")
     ze = z.entries
-    return [
-        w
-        for w in _gorenstein_h_vectors(z.ambient_codim, max_mass, socle_bound)
-        if len(w.entries) >= len(ze) and all(a <= b for a, b in zip(ze, w.entries))
-    ]
+    depth = len(ze)
+    out: list[HVector] = []
+
+    def walk(node: _Node, i: int) -> None:
+        if i == depth:
+            if node.hi <= max_mass:
+                out.extend(node.below)
+            else:
+                out.extend(compress(node.below, [m <= max_mass for m in node.masses]))
+            return
+        zi = ze[i]
+        for v, child in node.children:
+            if v >= zi and child.lo <= max_mass:
+                walk(child, i + 1)
+
+    cap = min(1 << (max_mass - 1).bit_length(), _saturation(z.ambient_codim, socle_bound))
+    walk(_gorenstein_h_vectors(z.ambient_codim, cap, socle_bound), 0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,18 +254,19 @@ def glicci_chain(
     :mod:`liaisonkit.search`; a move from m points links through the
     lexicographically first Gorenstein h-vector that reaches each count.
     """
+    _require_int("n", n)
     if n < 1:
         raise LiaisonkitError("need at least one point")
-    if ambient not in AMBIENT_CODIM:
-        raise LiaisonkitError(f"ambient must be P2 or P3, got {ambient!r}")
+    _check_socle_bound(socle_bound)
+    _ambient_codim(ambient, surface_degree)
     if mode not in ("full", "descending_only"):
         raise LiaisonkitError(f"unknown mode {mode!r}")
-    if surface_degree is not None and surface_degree < 1:
-        raise LiaisonkitError("surface degree must be >= 1")
     descending = mode == "descending_only"
     if max_intermediate is None:
         max_intermediate = 3 * n
-    elif max_intermediate < n:
+    else:
+        _require_int("max_intermediate", max_intermediate)
+    if max_intermediate < n:
         raise LiaisonkitError(
             f"max_intermediate {max_intermediate} is below the start count n={n}; "
             "every chain passes through the n points"
@@ -189,41 +290,43 @@ def glicci_chain(
         target.  With an ``envelope`` the linking scheme must fit under
         the constrained growth caps (points on a fixed surface).
 
-        Each candidate is screened by its raw residual
-        r(i) = w(i) - z(s - i), i = 0..s, trailing zeros trimmed, and only
-        a w whose r is the generic vector of a new target count is handed
-        to ``link_h_vector``.  The screen rejects no move that
-        ``link_h_vector`` would accept: w is Gorenstein (the table is built
-        so) and contains z (``ag_candidates_containing`` checked it), so
-        the link succeeds exactly when r is nonnegative, starts with 1 and
-        is an O-sequence, and then returns r.  A generic vector has all
-        three properties, so the link lands on generic m2 points iff r
-        equals that vector, and the first w per target is the one a full
-        ``link_h_vector`` scan would keep."""
+        Each candidate is screened by its target count first: the residual
+        r(i) = w(i) - z(s - i), i = 0..s, has mass m2 = mass(w) - m
+        exactly, because len(w) >= len(z) (w contains z) puts every entry
+        of z in the sum.  So the range, new-target and descending checks
+        run on m2 before r is formed.  A survivor is screened by r itself:
+        with trailing zeros trimmed it must be the generic vector of m2
+        points, and only a w that passes is handed to ``link_h_vector``.
+        The screen rejects no move that ``link_h_vector`` would accept: w
+        is Gorenstein (the table is built so) and contains z
+        (``ag_candidates_containing`` checked it), so the link succeeds
+        exactly when r is nonnegative, starts with 1 and is an O-sequence,
+        and then returns r.  A generic vector has all three properties, so
+        the link lands on generic m2 points iff r equals that vector, and
+        the first w per target is the one a full ``link_h_vector`` scan
+        would keep."""
         z = generator(m)
         ze = z.entries
+        rz = ze[::-1]
+        top = m - 1 if descending else max_intermediate
         targets: dict[int, HVector] = {}
         for w in ag_candidates_containing(z, max_intermediate, socle_bound):
+            m2 = w.mass - m
+            if m2 < 1 or m2 > top or m2 in targets:
+                continue
             we = w.entries
             if envelope is not None and any(v > envelope[i] for i, v in enumerate(we)):
                 continue
-            s = len(we) - 1
-            r = [we[i] - (ze[s - i] if s - i < len(ze) else 0) for i in range(s + 1)]
-            while r and r[-1] == 0:
-                r.pop()
-            m2 = sum(r)
-            if m2 < 1 or m2 > max_intermediate or m2 in targets:
-                continue
-            if descending and m2 >= m:
-                continue
-            g = generator(m2)
-            if tuple(r) != g.entries:
+            # z(s - i) for i = 0..s: z reversed, zero-padded to len(w)
+            r = tuple(map(sub, we, (0,) * (len(we) - len(ze)) + rz))
+            g = generator(m2).entries
+            if r[: len(g)] != g or any(r[len(g) :]):
                 continue
             try:
                 res = link_h_vector(z, w)
             except LinkageError:
                 continue
-            if res.entries == g.entries:
+            if res.entries == g:
                 targets[m2] = w
         return [(w, m2) for m2, w in sorted(targets.items())]
 

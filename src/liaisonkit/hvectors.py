@@ -107,10 +107,24 @@ def _caps(r: int, surface_degree: int | None):
         yield cap
 
 
-def _check_surface_degree(surface_degree: int | None) -> None:
-    # a degree below 1 caps every entry at <= 0, so no h-vector completes
-    if surface_degree is not None and surface_degree < 1:
-        raise LiaisonkitError("surface degree must be >= 1")
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise LiaisonkitError(f"{name} must be an integer, got {value!r}")
+
+
+def _ambient_codim(ambient: str, surface_degree: int | None) -> int:
+    """Codimension of points in the ambient space, after checking the
+    ambient and the optional surface constraint (P3 only)."""
+    if ambient not in AMBIENT_CODIM:
+        raise LiaisonkitError(f"ambient must be P2 or P3, got {ambient!r}")
+    if surface_degree is not None:
+        if ambient != "P3":
+            raise LiaisonkitError("surface constraint applies to P3 only")
+        _require_int("surface degree", surface_degree)
+        # a degree below 1 caps every entry at <= 0, so no h-vector completes
+        if surface_degree < 1:
+            raise LiaisonkitError("surface degree must be >= 1")
+    return AMBIENT_CODIM[ambient]
 
 
 def generic_points_h_vector(
@@ -127,14 +141,10 @@ def generic_points_h_vector(
     >>> generic_points_h_vector(18).entries
     (1, 3, 6, 8)
     """
+    _require_int("n", n)
     if n < 1:
         raise LiaisonkitError("need at least one point")
-    if ambient not in AMBIENT_CODIM:
-        raise LiaisonkitError(f"ambient must be P2 or P3, got {ambient!r}")
-    r = AMBIENT_CODIM[ambient]
-    if surface_degree is not None and r != 3:
-        raise LiaisonkitError("surface constraint applies to P3 only")
-    _check_surface_degree(surface_degree)
+    r = _ambient_codim(ambient, surface_degree)
     entries = []
     remaining = n
     for cap in _caps(r, surface_degree):
@@ -151,8 +161,7 @@ def growth_envelope(
 ) -> tuple[int, ...]:
     """Pointwise caps on h-vector entries of point sets in the ambient
     space, optionally constrained to a degree-e surface (P3 only)."""
-    _check_surface_degree(surface_degree)
-    return tuple(islice(_caps(AMBIENT_CODIM[ambient], surface_degree), length))
+    return tuple(islice(_caps(_ambient_codim(ambient, surface_degree), surface_degree), length))
 
 
 def is_gorenstein_h_vector(h: HVector) -> bool:
@@ -190,16 +199,16 @@ def link_h_vector(z: HVector, w: HVector) -> HVector:
         raise LinkageError("h-vectors live in different codimensions")
     if not is_gorenstein_h_vector(w):
         raise LinkageError(f"{w} is not a Gorenstein h-vector")
-    s = w.socle_degree
-    for i in range(max(len(z.entries), len(w.entries))):
-        if z.get(i) > w.get(i):
+    ze, we = z.entries, w.entries
+    s = len(we) - 1
+    # z(i) > w(i) = 0 past the end of w is a containment failure too
+    for i, a in enumerate(ze):
+        if a > (we[i] if i <= s else 0):
             raise LinkageError(f"containment violated: z({i}) > w({i})", index=i)
-    res = []
-    for i in range(s + 1):
-        v = w.get(i) - z.get(s - i)
+    res = [we[i] - (ze[s - i] if s - i < len(ze) else 0) for i in range(s + 1)]
+    for i, v in enumerate(res):
         if v < 0:
             raise LinkageError(f"negative residual entry {v}", index=i)
-        res.append(v)
     while res and res[-1] == 0:
         res.pop()
     if not res:

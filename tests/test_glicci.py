@@ -7,10 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from liaisonkit import glicci
 from liaisonkit.errors import LiaisonkitError, LinkageError
 from liaisonkit.glicci import (
     GlicciFailure,
     PointChain,
+    _build_gorenstein_h_vectors,
+    _gorenstein_h_vectors,
+    _saturation,
     ag_candidates_containing,
     glicci_chain,
 )
@@ -44,6 +48,83 @@ def test_ag_candidates_sorted_and_valid():
 def test_ag_candidates_rejects_small_budget():
     with pytest.raises(LiaisonkitError):
         ag_candidates_containing(HVector((1, 3, 6)), 5)
+
+
+def test_ag_candidates_rejects_malformed_input():
+    # the table is the SI-sequences, Gorenstein only in codimension <= 3
+    with pytest.raises(LiaisonkitError, match="unsupported codimension 4"):
+        ag_candidates_containing(HVector((1, 4, 1), ambient_codim=4), 10)
+    with pytest.raises(LiaisonkitError, match="socle_bound must be >= 0, got -1"):
+        ag_candidates_containing(HVector((1,)), 10, socle_bound=-1)
+    with pytest.raises(LiaisonkitError, match="max_mass must be an integer, got 10.5"):
+        ag_candidates_containing(HVector((1,)), 10.5)
+
+
+def _scan(z, max_mass, socle_bound, builds):
+    """The linear scan over a build capped at max_mass (reference)."""
+    key = (z.ambient_codim, max_mass, socle_bound)
+    if key not in builds:
+        builds[key] = _build_gorenstein_h_vectors(*key)
+    ze = z.entries
+    return [
+        w
+        for w in builds[key]
+        if len(w.entries) >= len(ze) and all(a <= b for a, b in zip(ze, w.entries))
+    ]
+
+
+def test_ag_candidates_match_the_linear_scan():
+    # generic and non-generic z, masses from z's own up past saturation,
+    # across the power-of-two caps of the cached tables
+    builds = {}
+    compared = 0
+    for codim, ambient in ((2, "P2"), (3, "P3")):
+        zs = [generic_points_h_vector(m, ambient) for m in (1, 2, 3, 4, 7, 10, 16, 25)]
+        zs += [
+            HVector(e, ambient_codim=codim)
+            for e in ((1, 1), (1, 1, 1, 1), (1, 2, 1), (1, 0, 1), (1, 2, 2, 2), (1, 1, 3))
+        ]
+        for socle_bound in range(13):
+            sat = _saturation(codim, socle_bound)
+            for z in zs:
+                masses = {z.mass, z.mass + 1, 8, 9, 16, 17, 32, 33, sat // 2, sat - 1, sat, sat + 1, 3 * sat}
+                for max_mass in sorted(m for m in masses if m >= z.mass):
+                    got = ag_candidates_containing(z, max_mass, socle_bound)
+                    assert got == _scan(z, max_mass, socle_bound, builds), (z, max_mass, socle_bound)
+                    compared += 1
+    assert compared > 2000
+
+
+def test_mass_filtered_table_equals_a_capped_build():
+    for codim in (2, 3):
+        for socle_bound in range(13):
+            full = _build_gorenstein_h_vectors(codim, 10**6, socle_bound)
+            sat = _saturation(codim, socle_bound)
+            assert sat == max(w.mass for w in full)
+            step = 1 if socle_bound <= 8 else 7
+            for max_mass in list(range(1, sat + 2, step)) + [sat, 2 * sat]:
+                got = ag_candidates_containing(HVector((1,), ambient_codim=codim), max_mass, socle_bound)
+                assert got == list(_build_gorenstein_h_vectors(codim, max_mass, socle_bound))
+                assert got == [w for w in full if w.mass <= max_mass]
+
+
+def test_candidate_source_contract(monkeypatch):
+    # bench/tracer.py counts candidates by rebinding the module attribute
+    # glicci.ag_candidates_containing, reads _gorenstein_h_vectors'
+    # cache_info() and bench/freeze.py calls its cache_clear()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ag_candidates_containing(*args, **kwargs)
+
+    monkeypatch.setattr(glicci, "ag_candidates_containing", counted)
+    _gorenstein_h_vectors.cache_clear()
+    assert _gorenstein_h_vectors.cache_info().currsize == 0
+    assert isinstance(glicci_chain(10), PointChain)
+    assert calls
+    info = _gorenstein_h_vectors.cache_info()
+    assert info.misses >= 1 and info.hits >= 1
 
 
 def _brute_force_glicci_reachable(n, max_mass, socle_bound=6, max_depth=4):
@@ -141,14 +222,13 @@ GLICCI_MODES = {
 }
 
 
-def test_glicci_sweep_oracle_cheap_cells():
+def test_glicci_sweep_oracle():
     # the benchmark's frozen chain lengths ("fail" for no chain), for every
-    # cell that cost at most 20 ms when frozen; found chains re-validate
+    # cell of the table; found chains re-validate
     oracle = json.loads(GLICCI_ORACLE.read_text(encoding="utf-8"))
-    cheap = [k for k, ms in oracle["cost_ms"].items() if ms <= 20]
-    assert len(cheap) == 157
+    assert len(oracle["table"]) == 309
     wrong = []
-    for key in cheap:
+    for key, want in oracle["table"].items():
         mode, n = json.loads(key)
         result = glicci_chain(n, **GLICCI_MODES[mode])
         if isinstance(result, GlicciFailure):
@@ -156,7 +236,7 @@ def test_glicci_sweep_oracle_cheap_cells():
         else:
             result.validate()
             got = result.length
-        if got != oracle["table"][key]:
+        if got != want:
             wrong.append((key, got))
     assert wrong == []
 
@@ -248,3 +328,22 @@ def test_input_validation():
         glicci_chain(5, mode="sideways")
     with pytest.raises(LiaisonkitError, match="surface degree must be >= 1"):
         glicci_chain(5, surface_degree=0)
+    with pytest.raises(LiaisonkitError, match="surface constraint applies to P3 only"):
+        glicci_chain(5, ambient="P2", surface_degree=3)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((True,), {}, "n must be an integer, got True"),
+        ((5.0,), {}, "n must be an integer, got 5.0"),
+        ((5,), {"socle_bound": -1}, "socle_bound must be >= 0, got -1"),
+        ((1,), {"socle_bound": -1}, "socle_bound must be >= 0, got -1"),
+        ((5,), {"socle_bound": 6.0}, "socle_bound must be an integer, got 6.0"),
+        ((5,), {"max_intermediate": 20.5}, "max_intermediate must be an integer, got 20.5"),
+        ((5,), {"surface_degree": True}, "surface degree must be an integer, got True"),
+    ],
+)
+def test_glicci_chain_rejects_malformed_numbers(args, kwargs, message):
+    with pytest.raises(LiaisonkitError, match=message):
+        glicci_chain(*args, **kwargs)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liaisonkit import hvectors
 from liaisonkit.errors import CharacterError, LiaisonkitError, LinkageError
 from liaisonkit.hvectors import (
     HVector,
@@ -30,7 +31,7 @@ from liaisonkit.hvectors import (
     macaulay_bound,
     postulation_character,
 )
-from liaisonkit.glicci import _gorenstein_h_vectors
+from liaisonkit.glicci import _build_gorenstein_h_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,20 @@ def test_surface_degree_below_one_is_rejected(surface_degree):
         growth_envelope(4, "P3", surface_degree)
 
 
+def test_ambient_and_count_checks():
+    with pytest.raises(LiaisonkitError, match="surface constraint applies to P3 only"):
+        growth_envelope(4, "P2", surface_degree=3)
+    with pytest.raises(LiaisonkitError, match="surface constraint applies to P3 only"):
+        generic_points_h_vector(5, "P2", surface_degree=3)
+    with pytest.raises(LiaisonkitError, match="ambient must be P2 or P3, got 'P7'"):
+        growth_envelope(4, "P7")
+    assert growth_envelope(4, "P2") == (1, 2, 3, 4)
+    with pytest.raises(LiaisonkitError, match="n must be an integer, got True"):
+        generic_points_h_vector(True)
+    with pytest.raises(LiaisonkitError, match="n must be an integer, got 5.0"):
+        generic_points_h_vector(5.0)
+
+
 def test_gorenstein_examples():
     assert is_gorenstein_h_vector(HVector((1, 3, 3, 1)))
     assert is_gorenstein_h_vector(HVector((1, 3, 6, 6, 3, 1)))
@@ -228,6 +243,22 @@ def test_link_examples():
         link_h_vector(HVector((1, 2)), HVector((1, 3, 2)))  # w not Gorenstein
 
 
+def test_link_failures_pin_the_index(monkeypatch):
+    with pytest.raises(LinkageError, match=r"containment violated: z\(2\) > w\(2\)") as err:
+        link_h_vector(HVector((1, 3, 6)), HVector((1, 3, 3, 1)))
+    assert err.value.index == 2
+    # z longer than w: w is zero past its socle degree
+    with pytest.raises(LinkageError, match=r"z\(2\) > w\(2\)") as err:
+        link_h_vector(HVector((1, 1, 1)), HVector((1, 1)))
+    assert err.value.index == 2
+    # a symmetric w that contains z leaves no negative residual entry, so
+    # this branch is reached only by a w that skips the Gorenstein check
+    monkeypatch.setattr(hvectors, "is_gorenstein_h_vector", lambda h: True)
+    with pytest.raises(LinkageError, match=r"negative residual entry -2 \(at index 2\)") as err:
+        link_h_vector(HVector((1, 3)), HVector((1, 3, 1, 1)))
+    assert err.value.index == 2
+
+
 def _o_subvector_choices(w):
     """All O-sequences z with z <= w componentwise (for the involution sweep)."""
     ranges = [range(1, 2)] + [range(0, v + 1) for v in w.entries[1:]]
@@ -241,7 +272,7 @@ def _o_subvector_choices(w):
 
 def test_link_involution_and_mass_bounded_enumeration():
     checked = 0
-    for w in _gorenstein_h_vectors(3, 40, 6):
+    for w in _build_gorenstein_h_vectors(3, 40, 6):
         for z_entries in _o_subvector_choices(w):
             z = HVector(z_entries)
             try:
