@@ -87,23 +87,26 @@ def test_ag_candidates_match_the_linear_scan():
         for socle_bound in range(13):
             sat = _saturation(codim, socle_bound)
             for z in zs:
-                masses = {z.mass, z.mass + 1, 8, 9, 16, 17, 32, 33, sat // 2, sat - 1, sat, sat + 1, 3 * sat}
+                masses = {z.mass, z.mass + 1, 8, 9, 16, 17, 32, 33}
+                masses |= {sat // 2, sat - 1, sat, sat + 1, 3 * sat}
                 for max_mass in sorted(m for m in masses if m >= z.mass):
                     got = ag_candidates_containing(z, max_mass, socle_bound)
-                    assert got == _scan(z, max_mass, socle_bound, builds), (z, max_mass, socle_bound)
+                    want = _scan(z, max_mass, socle_bound, builds)
+                    assert got == want, (z, max_mass, socle_bound)
                     compared += 1
     assert compared > 2000
 
 
 def test_mass_filtered_table_equals_a_capped_build():
     for codim in (2, 3):
+        one_point = HVector((1,), ambient_codim=codim)
         for socle_bound in range(13):
             full = _build_gorenstein_h_vectors(codim, 10**6, socle_bound)
             sat = _saturation(codim, socle_bound)
             assert sat == max(w.mass for w in full)
             step = 1 if socle_bound <= 8 else 7
             for max_mass in list(range(1, sat + 2, step)) + [sat, 2 * sat]:
-                got = ag_candidates_containing(HVector((1,), ambient_codim=codim), max_mass, socle_bound)
+                got = ag_candidates_containing(one_point, max_mass, socle_bound)
                 assert got == list(_build_gorenstein_h_vectors(codim, max_mass, socle_bound))
                 assert got == [w for w in full if w.mass <= max_mass]
 
