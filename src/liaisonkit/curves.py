@@ -59,6 +59,8 @@ class RaoTag:
         return cls(RAO_M_A, a=a, shift=shift)
 
     def shifted(self, h: int) -> "RaoTag":
+        """Tag after an elementary biliaison of height h: start degree moves
+        by h, kind and duality are unchanged (biliaison is even)."""
         if self.kind == RAO_ZERO:
             return self
         return replace(self, shift=self.shift + h)
@@ -295,9 +297,3 @@ def lesperance_curve(
         + (f",b={b}" if b is not None else "")
         + ")",
     )
-
-
-def rao_after_biliaison(tag: RaoTag, h: int) -> RaoTag:
-    """Tag after an elementary biliaison of height h: start degree moves
-    by h, kind and duality are unchanged (biliaison is even)."""
-    return tag.shifted(h)

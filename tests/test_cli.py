@@ -1,5 +1,6 @@
 """The ``liaisonkit`` command through ``cli.main``: exit codes 0/1/2,
-JSON output, typed messages for bad input, and removed options."""
+JSON output, typed messages for bad input, and removed options; and what
+importing each module of the package loads."""
 
 import json
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from liaisonkit import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -153,8 +156,7 @@ def test_removed_options_are_rejected(argv):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "liaisonkit", "experiment", "run", "ex4.2"],
         capture_output=True,
@@ -164,3 +166,37 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert "ex4.2" in proc.stdout
+
+
+# The package modules each module loads: the ones it imports, directly or
+# through them, and no other.  ``data`` is the packaged catalog, which
+# ``liaison`` reads at import time.
+LOADS = {
+    "errors": "errors",
+    "search": "search",
+    "lattice": "errors lattice",
+    "hvectors": "errors hvectors",
+    "surfaces": "errors lattice surfaces",
+    "curves": "curves errors lattice surfaces",
+    "glicci": "errors glicci hvectors search",
+    "liaison": "curves data errors lattice liaison search surfaces",
+    "experiments": "curves data errors experiments glicci hvectors lattice liaison search surfaces",
+    "cli": "cli curves data errors experiments glicci hvectors lattice liaison search surfaces",
+}
+
+
+@pytest.mark.parametrize("module", sorted(LOADS))
+def test_importing_a_module_loads_only_what_it_uses(module):
+    code = (
+        f"import sys, liaisonkit.{module}\n"
+        "print(*sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('liaisonkit.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == LOADS[module].split()

@@ -16,7 +16,6 @@ from liaisonkit.curves import (
     multisecant_profile,
     plane_curve,
     plane_pencil_bound,
-    rao_after_biliaison,
 )
 from liaisonkit.errors import InvalidClassError, LiaisonkitError, MissingWitnessError
 from liaisonkit.lattice import DivisorClass, intersect
@@ -186,16 +185,13 @@ def test_lesperance_types():
 
 def test_rao_shift_after_biliaison():
     tag = RaoTag.simple_k(0)
-    assert rao_after_biliaison(tag, 1).shift == 1
-    assert rao_after_biliaison(tag, 0) == tag
-    assert rao_after_biliaison(rao_after_biliaison(tag, 1), 1).shift == 2
+    assert tag.shifted(1).shift == 1
+    assert tag.shifted(0) == tag
+    assert tag.shifted(1).shifted(1).shift == 2
     # additive under composition
     rng = random.Random(5)
     for _ in range(200):
         h1, h2 = rng.randint(-4, 4), rng.randint(-4, 4)
-        assert (
-            rao_after_biliaison(rao_after_biliaison(tag, h1), h2).shift
-            == tag.shift + h1 + h2
-        )
+        assert tag.shifted(h1).shifted(h2).shift == tag.shift + h1 + h2
     # the zero module ignores shifts
-    assert rao_after_biliaison(RaoTag.zero(), 3) == RaoTag.zero()
+    assert RaoTag.zero().shifted(3) == RaoTag.zero()
