@@ -178,15 +178,14 @@ def _render_report(report, fmt: str) -> str:
     lines = [f"== {report.experiment_id} ({report.anchor}) =="]
     keys = sorted(set(report.computed) | set(report.references))
     width = max(len(k) for k in keys)
+    matches = report.matches
     for key in keys:
         computed = report.computed.get(key, "-")
         ref = report.references.get(key)
         if ref is None:
             lines.append(f"  {key:<{width}}  {computed}")
             continue
-        status = {True: "ok", False: "MISMATCH", None: "display"}[
-            report.matches.get(key)
-        ]
+        status = {True: "ok", False: "MISMATCH", None: "display"}[matches[key]]
         note = f"  ({ref.note})" if ref.note else ""
         lines.append(
             f"  {key:<{width}}  {computed}  [{ref.provenance}: {ref.value}]"

@@ -1,14 +1,17 @@
 """Named, scripted reproductions with reference values and provenance.
 
-Each experiment computes a battery of exact values and compares them with
-its stored references.  A reference carries one of three provenance tags:
+Each experiment returns ``(anchor, rows)``.  ``rows`` maps every key,
+written once, to ``(computed value, reference)``, and the report's
+matches are derived from those pairs.  A reference is a :class:`RefValue`
+carrying one of three provenance tags:
 
 * ``paper``   - a value asserted by the source example being replayed;
 * ``trivial`` - immediate from a definition;
 * ``derived`` - computed by an independent oracle and frozen here.
 
-References whose ``value`` has no computed counterpart are display-only
-(``not recomputed``); they never affect the match status.
+A row whose reference is ``None`` is shown but not checked.  A row whose
+computed value is :data:`NOT_RECOMPUTED` is a display-only reference
+(``not recomputed``); it never affects the match status.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from .glicci import GlicciFailure, glicci_chain
 
 SCHEMA_VERSION = 1
 
+# computed value of a display-only reference; None is a real computed value
+NOT_RECOMPUTED = object()
+
 
 def _jnorm(value):
     """Reduce a value to JSON-native types so reports round-trip exactly."""
@@ -86,9 +92,17 @@ class ExperimentReport:
     anchor: str
     computed: dict
     references: dict
-    matches: dict
     runtime_seconds: float
     schema_version: int = SCHEMA_VERSION
+
+    @property
+    def matches(self) -> dict:
+        """Per reference: True or False against its computed value, None
+        when nothing was computed for it (display-only)."""
+        return {
+            k: self.computed[k] == r.value if k in self.computed else None
+            for k, r in self.references.items()
+        }
 
     @property
     def all_match(self) -> bool:
@@ -119,7 +133,6 @@ class ExperimentReport:
             anchor=data["anchor"],
             computed=data["computed"],
             references=refs,
-            matches=data["matches"],
             runtime_seconds=data["runtime_seconds"],
             schema_version=data["schema_version"],
         )
@@ -130,6 +143,19 @@ class ExperimentReport:
 # --------------------------------------------------------------------------
 
 
+def _paper(value, note=""):
+    return RefValue(value, "paper", note)
+
+
+def _derived(value, note=""):
+    return RefValue(value, "derived", note)
+
+
+def _numerics(curve: CurveRecord) -> list:
+    """Degree, genus and Rao module, as the L'Esperance experiments compare them."""
+    return [curve.degree, curve.genus, str(curve.rao)]
+
+
 def _ex3_2():
     scroll = get_surface("cubic_scroll")
     l1 = CurveRecord.on_surface(scroll, DivisorClass.blownup((0, -1)), rao=RaoTag.zero())
@@ -137,37 +163,27 @@ def _ex3_2():
     c1 = elementary_biliaison(l1, 3)
     c2 = elementary_biliaison(l2, 3)
     conic = DivisorClass.blownup((1, 0))
-    computed = {
-        "c1_class": c1.witness.cls,
-        "c2_class": c2.witness.cls,
-        "c1_dg": c1.dg,
-        "c2_dg": c2.dg,
-        "c1_self_intersection": self_intersection(c1.witness.cls),
-        "c2_self_intersection": self_intersection(c2.witness.cls),
-        "c1_trisecants": [(str(c), f) for c, f in k_secant_lines(c1, 3)],
-        "c2_trisecants": [(str(c), f) for c, f in k_secant_lines(c2, 3)],
-        "c1_conic_plane": intersect(c1.witness.cls, conic),
-        "c2_conic_plane": intersect(c2.witness.cls, conic),
-        "c1_pencil_bound": plane_pencil_bound(c1, conic),
-        "c2_pencil_bound": plane_pencil_bound(c2, conic),
-    }
-    references = {
-        "c1_class": RefValue("(6;2)", "paper", "first smooth (10,9) type"),
-        "c2_class": RefValue("(7;4)", "paper", "second smooth (10,9) type"),
-        "c1_dg": RefValue([10, 9], "paper"),
-        "c2_dg": RefValue([10, 9], "paper"),
-        "c1_self_intersection": RefValue(32, "paper"),
-        "c2_self_intersection": RefValue(33, "paper"),
-        "c1_trisecants": RefValue([], "paper", "no trisecants"),
-        "c2_trisecants": RefValue(
-            [["(1;1)", "one_parameter"]], "paper", "infinitely many trisecants"
+    return "Example 3.2", {
+        "c1_class": (c1.witness.cls, _paper("(6;2)", "first smooth (10,9) type")),
+        "c2_class": (c2.witness.cls, _paper("(7;4)", "second smooth (10,9) type")),
+        "c1_dg": (c1.dg, _paper([10, 9])),
+        "c2_dg": (c2.dg, _paper([10, 9])),
+        "c1_self_intersection": (self_intersection(c1.witness.cls), _paper(32)),
+        "c2_self_intersection": (self_intersection(c2.witness.cls), _paper(33)),
+        "c1_trisecants": (
+            [(str(c), f) for c, f in k_secant_lines(c1, 3)], _paper([], "no trisecants")
         ),
-        "c1_conic_plane": RefValue(6, "paper"),
-        "c2_conic_plane": RefValue(7, "paper"),
-        "c1_pencil_bound": RefValue(4, "paper", "pencil through the conic plane"),
-        "c2_pencil_bound": RefValue(3, "paper", "trigonal"),
+        "c2_trisecants": (
+            [(str(c), f) for c, f in k_secant_lines(c2, 3)],
+            _paper([["(1;1)", "one_parameter"]], "infinitely many trisecants"),
+        ),
+        "c1_conic_plane": (intersect(c1.witness.cls, conic), _paper(6)),
+        "c2_conic_plane": (intersect(c2.witness.cls, conic), _paper(7)),
+        "c1_pencil_bound": (
+            plane_pencil_bound(c1, conic), _paper(4, "pencil through the conic plane")
+        ),
+        "c2_pencil_bound": (plane_pencil_bound(c2, conic), _paper(3, "trigonal")),
     }
-    return "Example 3.2", computed, references
 
 
 def _ex3_4():
@@ -178,35 +194,31 @@ def _ex3_4():
         DivisorClass.blownup((2, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0)),
     ]
     records = [
-        elementary_biliaison(
-            CurveRecord.on_surface(bordiga, l, rao=RaoTag.zero()), 3
-        )
+        elementary_biliaison(CurveRecord.on_surface(bordiga, l, rao=RaoTag.zero()), 3)
         for l in ls
     ]
     dgs = sorted({r.dg for r in records})
+    squares = [self_intersection(r.witness.cls) for r in records]
     cands = acm_h_vector_candidates(*records[0].dg)
-    computed = {
-        "l_squares": [self_intersection(l) for l in ls],
-        "common_dg": dgs[0] if len(dgs) == 1 else list(dgs),
-        "dg_identical": len(dgs) == 1,
-        "self_intersections": [self_intersection(r.witness.cls) for r in records],
-        "self_intersections_distinct": len(
-            {self_intersection(r.witness.cls) for r in records}
-        )
-        == 3,
-        "acm_h_vector_candidates": [list(h) for h in cands],
-        "shared_character": list(acm_character(cands[0]).values) if cands else [],
+    return "Example 3.4", {
+        "l_squares": ([self_intersection(l) for l in ls], _paper([-1, -2, -3])),
+        "common_dg": (
+            dgs[0] if len(dgs) == 1 else list(dgs),
+            _derived([19, 27], "biliaison update at m=3"),
+        ),
+        "dg_identical": (
+            len(dgs) == 1, _paper(True, "same degree, genus, postulation")
+        ),
+        "self_intersections": (squares, _derived([59, 58, 57], "L^2 + 6 L.H + 9 deg")),
+        "self_intersections_distinct": (len(set(squares)) == 3, _paper(True)),
+        "acm_h_vector_candidates": (
+            [list(h) for h in cands], _derived([[1, 3, 6, 6, 3]])
+        ),
+        "shared_character": (
+            list(acm_character(cands[0]).values) if cands else [],
+            _derived([-1, -2, -3, 0, 3, 3]),
+        ),
     }
-    references = {
-        "l_squares": RefValue([-1, -2, -3], "paper"),
-        "common_dg": RefValue([19, 27], "derived", "biliaison update at m=3"),
-        "dg_identical": RefValue(True, "paper", "same degree, genus, postulation"),
-        "self_intersections": RefValue([59, 58, 57], "derived", "L^2 + 6 L.H + 9 deg"),
-        "self_intersections_distinct": RefValue(True, "paper"),
-        "acm_h_vector_candidates": RefValue([[1, 3, 6, 6, 3]], "derived"),
-        "shared_character": RefValue([-1, -2, -3, 0, 3, 3], "derived"),
-    }
-    return "Example 3.4", computed, references
 
 
 def _ex3_6():
@@ -214,31 +226,35 @@ def _ex3_6():
     bordiga = get_surface("bordiga_6")
     c_10_9 = DivisorClass.blownup((6, 2))
     c_10_6 = DivisorClass.blownup((6, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1))
-    computed = {
-        "bound_20_26": hilbert_dim_lower_bound(20, 26),
-        "exceeds_biliaison_family": hilbert_dim_lower_bound(20, 26) > 74,
-        "scroll_10_9_family_dim": family_dimension(scroll, c_10_9),
-        "bound_10_9": hilbert_dim_lower_bound(10, 9),
-        "bordiga_10_6_family_dim": family_dimension(bordiga, c_10_6),
-        "bound_10_6": hilbert_dim_lower_bound(10, 6),
+    bound_20_26 = hilbert_dim_lower_bound(20, 26)
+    return "Example 3.6", {
+        "bound_20_26": (bound_20_26, _paper(75, "5d + 1 - g")),
+        "determinantal_family_dim_upper": (
+            NOT_RECOMPUTED, _paper(69, "not recomputed: determinantal family bound")
+        ),
+        "biliaison_family_dim_upper": (
+            NOT_RECOMPUTED,
+            _paper(74, "not recomputed: curves moving on degree-10 surfaces"),
+        ),
+        "exceeds_biliaison_family": (
+            bound_20_26 > 74,
+            _derived(True, "75 > 74: general member not ascending-reachable"),
+        ),
+        "scroll_10_9_family_dim": (
+            family_dimension(scroll, c_10_9), _derived(42, "18 + dim|C|")
+        ),
+        "bound_10_9": (
+            hilbert_dim_lower_bound(10, 9),
+            _derived(42, "component bound met with equality"),
+        ),
+        "bordiga_10_6_family_dim": (
+            family_dimension(bordiga, c_10_6), _derived(45, "36 + dim|C|")
+        ),
+        "bound_10_6": (
+            hilbert_dim_lower_bound(10, 6),
+            _derived(45, "component bound met with equality"),
+        ),
     }
-    references = {
-        "bound_20_26": RefValue(75, "paper", "5d + 1 - g"),
-        "determinantal_family_dim_upper": RefValue(
-            69, "paper", "not recomputed: determinantal family bound"
-        ),
-        "biliaison_family_dim_upper": RefValue(
-            74, "paper", "not recomputed: curves moving on degree-10 surfaces"
-        ),
-        "exceeds_biliaison_family": RefValue(
-            True, "derived", "75 > 74: general member not ascending-reachable"
-        ),
-        "scroll_10_9_family_dim": RefValue(42, "derived", "18 + dim|C|"),
-        "bound_10_9": RefValue(42, "derived", "component bound met with equality"),
-        "bordiga_10_6_family_dim": RefValue(45, "derived", "36 + dim|C|"),
-        "bound_10_6": RefValue(45, "derived", "component bound met with equality"),
-    }
-    return "Example 3.6", computed, references
 
 
 def _prop2_1():
@@ -250,24 +266,21 @@ def _prop2_1():
             ok = False
             continue
         lengths[n] = chain.length
-    computed = {
-        "all_succeed_up_to_30": ok,
-        "chain_lengths": [lengths.get(n) for n in range(1, 31)],
-    }
-    references = {
-        "all_succeed_up_to_30": RefValue(
-            True, "paper", "every general plane configuration reaches a point"
+    return "Proposition 2.1", {
+        "all_succeed_up_to_30": (
+            ok, _paper(True, "every general plane configuration reaches a point")
         ),
-        "chain_lengths": RefValue(
-            [
-                0, 1, 1, 2, 1, 2, 2, 1, 2, 3, 2, 2, 2, 3, 4,
-                3, 2, 3, 3, 4, 5, 4, 3, 3, 3, 4, 5, 6, 5, 4,
-            ],
-            "derived",
-            "shortest link counts under default bounds",
+        "chain_lengths": (
+            [lengths.get(n) for n in range(1, 31)],
+            _derived(
+                [
+                    0, 1, 1, 2, 1, 2, 2, 1, 2, 3, 2, 2, 2, 3, 4,
+                    3, 2, 3, 3, 4, 5, 4, 3, 3, 3, 4, 5, 6, 5, 4,
+                ],
+                "shortest link counts under default bounds",
+            ),
         ),
     }
-    return "Proposition 2.1", computed, references
 
 
 def _prop2_2():
@@ -289,20 +302,16 @@ def _prop2_2():
         chain[0] + chain[1]["curve_degree"] * chain[1]["height"] == chain[2]
         for chain in chains.values()
     )
-    computed = {
-        "acm_curve_degrees": acm_degrees,
-        "all_reachable_up_to_30": reachable,
-        "sample_chain_n7": chains[7],
-    }
-    references = {
-        "acm_curve_degrees": RefValue(
-            [1, 2, 3, 4, 5], "derived", "classes (a,b) with |a-b| <= 1"
+    return "Proposition 2.2", {
+        "acm_curve_degrees": (
+            acm_degrees, _derived([1, 2, 3, 4, 5], "classes (a,b) with |a-b| <= 1")
         ),
-        "all_reachable_up_to_30": RefValue(
-            True, "paper", "ascending biliaisons on curves lying on the quadric"
+        "all_reachable_up_to_30": (
+            reachable,
+            _paper(True, "ascending biliaisons on curves lying on the quadric"),
         ),
+        "sample_chain_n7": (chains[7], None),
     }
-    return "Proposition 2.2", computed, references
 
 
 def _prop2_3():
@@ -315,22 +324,18 @@ def _prop2_3():
             continue
         if n == 18:
             n18 = chain
-    computed = {
-        "all_succeed_up_to_19": ok,
-        "n18_point_counts": list(n18.counts),
-        "n18_link_masses": [w.mass for w in n18.links],
-        "n18_intermediates_exceed_18": n18.exceeds_start,
-    }
-    references = {
-        "all_succeed_up_to_19": RefValue(True, "paper", "connected through general points"),
-        "paper_intermediate_counts": RefValue(
-            [20, 28], "paper", "not recomputed: the route reported in the source"
+    return "Proposition 2.3", {
+        "all_succeed_up_to_19": (ok, _paper(True, "connected through general points")),
+        "paper_intermediate_counts": (
+            NOT_RECOMPUTED,
+            _paper([20, 28], "not recomputed: the route reported in the source"),
         ),
-        "n18_intermediates_exceed_18": RefValue(
-            True, "paper", "one has to link up before linking down"
+        "n18_point_counts": (list(n18.counts), None),
+        "n18_link_masses": ([w.mass for w in n18.links], None),
+        "n18_intermediates_exceed_18": (
+            n18.exceeds_start, _paper(True, "one has to link up before linking down")
         ),
     }
-    return "Proposition 2.3", computed, references
 
 
 def _cor2_4():
@@ -341,21 +346,16 @@ def _cor2_4():
             full_ok = False
         if isinstance(glicci_chain(n, ambient="P3", surface_degree=3), GlicciFailure):
             cubic_ok = False
-    computed = {
-        "all_glicci_up_to_19": full_ok,
-        "all_glicci_on_cubic_up_to_19": cubic_ok,
-        "cubic_forms_in_p3": comb(6, 3),
-        "max_n_below_cubic_forms": comb(6, 3) - 1,
-    }
-    references = {
-        "all_glicci_up_to_19": RefValue(True, "paper", "n <= 19 general points are glicci"),
-        "all_glicci_on_cubic_up_to_19": RefValue(True, "paper"),
-        "cubic_forms_in_p3": RefValue(20, "derived", "monomial count C(6,3)"),
-        "max_n_below_cubic_forms": RefValue(
-            19, "paper", "n <= 19 points lie on a nonsingular cubic"
+    return "Corollary 2.4", {
+        "all_glicci_up_to_19": (
+            full_ok, _paper(True, "n <= 19 general points are glicci")
+        ),
+        "all_glicci_on_cubic_up_to_19": (cubic_ok, _paper(True)),
+        "cubic_forms_in_p3": (comb(6, 3), _derived(20, "monomial count C(6,3)")),
+        "max_n_below_cubic_forms": (
+            comb(6, 3) - 1, _paper(19, "n <= 19 points lie on a nonsingular cubic")
         ),
     }
-    return "Corollary 2.4", computed, references
 
 
 def acm_candidate_pairs(surface_ids, max_degree=9):
@@ -401,26 +401,23 @@ def _prop3_1():
         (10, 6), surfaces=["cubic_scroll", "del_pezzo_4", "castelnuovo_5", "bordiga_6"],
         max_steps=6,
     )
-    computed = {
-        "admitted_pairs": [list(p) for p in admitted],
-        "all_chains_found": ok,
-        "chain_steps": [[d, g, chains[(d, g)]] for d, g in admitted],
-        "bordiga_10_6_steps": None
-        if isinstance(bordiga_res, SearchFailure)
-        else bordiga_res.liaison_steps,
-    }
-    references = {
-        "admitted_pairs": RefValue(
-            [[4, 0], [5, 1], [6, 2], [7, 3], [8, 4], [8, 5], [9, 5], [9, 6], [9, 7]],
-            "derived",
-            "catalog enumeration + integral ACM h-vector test",
+    return "Proposition 3.1", {
+        "admitted_pairs": (
+            [list(p) for p in admitted],
+            _derived(
+                [[4, 0], [5, 1], [6, 2], [7, 3], [8, 4], [8, 5], [9, 5], [9, 6], [9, 7]],
+                "catalog enumeration + integral ACM h-vector test",
+            ),
         ),
-        "all_chains_found": RefValue(
-            True, "paper", "ascending chains from a line for every admitted pair"
+        "all_chains_found": (
+            ok, _paper(True, "ascending chains from a line for every admitted pair")
         ),
-        "bordiga_10_6_steps": RefValue(2, "paper", "the (10,6) case uses the degree-6 surface"),
+        "chain_steps": ([[d, g, chains[(d, g)]] for d, g in admitted], None),
+        "bordiga_10_6_steps": (
+            None if isinstance(bordiga_res, SearchFailure) else bordiga_res.liaison_steps,
+            _paper(2, "the (10,6) case uses the degree-6 surface"),
+        ),
     }
-    return "Proposition 3.1", computed, references
 
 
 def _prop4_1():
@@ -431,15 +428,15 @@ def _prop4_1():
         plane_part = CurveRecord.abstract(d - 1, (d - 2) * (d - 3) // 2, rao=RaoTag.zero())
         union = disjoint_union(line, plane_part)
         rows.append([d, rec.genus, union.dg == rec.dg, str(rec.rao)])
-    computed = {"minimal_curves": rows}
-    references = {
-        "minimal_curves": RefValue(
-            [[d, (d - 2) * (d - 3) // 2 - 1, True, "k@0"] for d in range(2, 9)],
-            "paper",
-            "line plus a plane curve of degree d-1; module k in degree 0",
+    return "Proposition 4.1", {
+        "minimal_curves": (
+            rows,
+            _paper(
+                [[d, (d - 2) * (d - 3) // 2 - 1, True, "k@0"] for d in range(2, 9)],
+                "line plus a plane curve of degree d-1; module k in degree 0",
+            ),
         ),
     }
-    return "Proposition 4.1", computed, references
 
 
 def _ex4_2():
@@ -448,21 +445,15 @@ def _ex4_2():
         scroll, DivisorClass.blownup((2, 2)), rao=RaoTag.simple_k(0)
     )
     result = elementary_biliaison(start, 1)
-    computed = {
-        "start_dg": start.dg,
-        "start_rao": str(start.rao),
-        "result_class": result.witness.cls,
-        "result_dg": result.dg,
-        "result_rao_shift": result.rao.shift,
+    return "Example 4.2", {
+        "start_dg": (start.dg, _paper([2, -1], "two skew lines")),
+        "start_rao": (str(start.rao), _paper("k@0")),
+        "result_class": (
+            result.witness.cls, _derived("(4;3)", "class arithmetic on the scroll")
+        ),
+        "result_dg": (result.dg, _paper([5, 0])),
+        "result_rao_shift": (result.rao.shift, _paper(1, "module k in degree 1")),
     }
-    references = {
-        "start_dg": RefValue([2, -1], "paper", "two skew lines"),
-        "start_rao": RefValue("k@0", "paper"),
-        "result_class": RefValue("(4;3)", "derived", "class arithmetic on the scroll"),
-        "result_dg": RefValue([5, 0], "paper"),
-        "result_rao_shift": RefValue(1, "paper", "module k in degree 1"),
-    }
-    return "Example 4.2", computed, references
 
 
 def _ex4_3():
@@ -480,31 +471,23 @@ def _ex4_3():
         ),
         1,
     )
-    general_tri = k_secant_lines(general, 3)
-    special_tri = k_secant_lines(special, 3)
-    computed = {
-        "general_dg": general.dg,
-        "general_rao_shift": general.rao.shift,
-        "general_trisecants": [(str(c), f) for c, f in general_tri],
-        "special_dg": special.dg,
-        "special_rao_shift": special.rao.shift,
-        "special_trisecant_flags": sorted({f for _, f in special_tri}),
-    }
-    references = {
-        "general_dg": RefValue([6, 1], "paper"),
-        "general_rao_shift": RefValue(1, "paper", "module k in degree 1"),
-        "general_trisecants": RefValue(
-            [["(1;0,0,0,1,1)", "finite"], ["(2;1,1,1,1,1)", "finite"]],
-            "paper",
-            "exactly two trisecants",
+    return "Example 4.3", {
+        "general_dg": (general.dg, _paper([6, 1])),
+        "general_rao_shift": (general.rao.shift, _paper(1, "module k in degree 1")),
+        "general_trisecants": (
+            [(str(c), f) for c, f in k_secant_lines(general, 3)],
+            _paper(
+                [["(1;0,0,0,1,1)", "finite"], ["(2;1,1,1,1,1)", "finite"]],
+                "exactly two trisecants",
+            ),
         ),
-        "special_dg": RefValue([6, 1], "paper"),
-        "special_rao_shift": RefValue(1, "paper"),
-        "special_trisecant_flags": RefValue(
-            ["one_parameter"], "paper", "infinitely many trisecants"
+        "special_dg": (special.dg, _paper([6, 1])),
+        "special_rao_shift": (special.rao.shift, _paper(1)),
+        "special_trisecant_flags": (
+            sorted({f for _, f in k_secant_lines(special, 3)}),
+            _paper(["one_parameter"], "infinitely many trisecants"),
         ),
     }
-    return "Example 4.3", computed, references
 
 
 def _ex4_4():
@@ -520,23 +503,18 @@ def _ex4_4():
     )
     via_castelnuovo = elementary_biliaison(castelnuovo_start, 1)
     via_del_pezzo = elementary_biliaison(del_pezzo_start, 1)
-    computed = {
-        "castelnuovo_start_degree": castelnuovo_start.degree,
-        "castelnuovo_dg": via_castelnuovo.dg,
-        "castelnuovo_rao_shift": via_castelnuovo.rao.shift,
-        "del_pezzo_start_degree": del_pezzo_start.degree,
-        "del_pezzo_dg": via_del_pezzo.dg,
-        "del_pezzo_rao_shift": via_del_pezzo.rao.shift,
+    return "Example 4.4", {
+        "castelnuovo_start_degree": (
+            castelnuovo_start.degree, _paper(2, "minimal curve of degree 2")
+        ),
+        "castelnuovo_dg": (via_castelnuovo.dg, _paper([7, 2])),
+        "castelnuovo_rao_shift": (via_castelnuovo.rao.shift, _paper(1)),
+        "del_pezzo_start_degree": (
+            del_pezzo_start.degree, _paper(3, "minimal curve of degree 3")
+        ),
+        "del_pezzo_dg": (via_del_pezzo.dg, _paper([7, 2])),
+        "del_pezzo_rao_shift": (via_del_pezzo.rao.shift, _paper(1)),
     }
-    references = {
-        "castelnuovo_dg": RefValue([7, 2], "paper"),
-        "castelnuovo_rao_shift": RefValue(1, "paper"),
-        "del_pezzo_dg": RefValue([7, 2], "paper"),
-        "del_pezzo_rao_shift": RefValue(1, "paper"),
-        "castelnuovo_start_degree": RefValue(2, "paper", "minimal curve of degree 2"),
-        "del_pezzo_start_degree": RefValue(3, "paper", "minimal curve of degree 3"),
-    }
-    return "Example 4.4", computed, references
 
 
 def _ex4_5():
@@ -548,36 +526,30 @@ def _ex4_5():
     res = ascending_chain_search(
         (11, 7), surfaces=["cubic_scroll", "bordiga_6"], starts=[start], max_steps=4
     )
+    steps_ref = _paper(2, "two ascending steps")
     if isinstance(res, SearchFailure):
-        computed = {"steps": None, "search_explored": res.explored}
-        return "Example 4.5", computed, _EX4_5_REFS
+        return "Example 4.5", {
+            "steps": (None, steps_ref),
+            "search_explored": (res.explored, None),
+        }
     final = res.end
     final_cls = final.witness.cls
-    computed = {
-        "steps": res.liaison_steps,
-        "intermediate_dg": res.steps[0].after.dg,
-        "final_class": final_cls,
-        "final_dg": final.dg,
-        "final_rao_shift": final.rao.shift,
-        "bordiga_family_dim": family_dimension(bordiga, final_cls),
-        "hilbert_bound_11_7": hilbert_dim_lower_bound(11, 7),
-        "general_curve_escapes_bordiga": family_dimension(bordiga, final_cls)
-        < hilbert_dim_lower_bound(11, 7),
+    family_dim = family_dimension(bordiga, final_cls)
+    bound = hilbert_dim_lower_bound(11, 7)
+    return "Example 4.5", {
+        "steps": (res.liaison_steps, steps_ref),
+        "intermediate_dg": (
+            res.steps[0].after.dg, _paper([5, 0], "through the (5,0) curve")
+        ),
+        "final_class": (final_cls, None),
+        "final_dg": (final.dg, _paper([11, 7])),
+        "final_rao_shift": (final.rao.shift, _paper(2, "module k in degree 2")),
+        "bordiga_family_dim": (family_dim, _derived(47, "36 + dim|C|")),
+        "hilbert_bound_11_7": (bound, _derived(49)),
+        "general_curve_escapes_bordiga": (
+            family_dim < bound, _paper(True, "general curve not on a degree-6 surface")
+        ),
     }
-    return "Example 4.5", computed, _EX4_5_REFS
-
-
-_EX4_5_REFS = {
-    "steps": RefValue(2, "paper", "two ascending steps"),
-    "intermediate_dg": RefValue([5, 0], "paper", "through the (5,0) curve"),
-    "final_dg": RefValue([11, 7], "paper"),
-    "final_rao_shift": RefValue(2, "paper", "module k in degree 2"),
-    "bordiga_family_dim": RefValue(47, "derived", "36 + dim|C|"),
-    "hilbert_bound_11_7": RefValue(49, "derived"),
-    "general_curve_escapes_bordiga": RefValue(
-        True, "paper", "general curve not on a degree-6 surface"
-    ),
-}
 
 
 def _prop4_7():
@@ -586,20 +558,14 @@ def _prop4_7():
     b = lesperance_curve("b", 2, 2)
     c = lesperance_curve("c", 2, 1)
     d = lesperance_curve("d", 2, acm_curve=twisted_cubic)
-    computed = {
-        "type_a": [a.degree, a.genus, str(a.rao)],
-        "type_b": [b.degree, b.genus, str(b.rao)],
-        "type_c_b1_equals_type_a": (c.degree, c.genus, str(c.rao))
-        == (a.degree, a.genus, str(a.rao)),
-        "type_d": [d.degree, d.genus, str(d.rao)],
+    return "Proposition 4.7", {
+        "type_a": (_numerics(a), _paper([3, -1, "M_2@0"], "line plus a plane conic")),
+        "type_b": (_numerics(b), _paper([4, -1, "M_2@0"], "two plane conics")),
+        "type_c_b1_equals_type_a": (
+            _numerics(c) == _numerics(a), _paper(True, "b = 1 recovers type a")
+        ),
+        "type_d": (_numerics(d), _paper([4, -1, "M_2@0"], "line plus a twisted cubic")),
     }
-    references = {
-        "type_a": RefValue([3, -1, "M_2@0"], "paper", "line plus a plane conic"),
-        "type_b": RefValue([4, -1, "M_2@0"], "paper", "two plane conics"),
-        "type_c_b1_equals_type_a": RefValue(True, "paper", "b = 1 recovers type a"),
-        "type_d": RefValue([4, -1, "M_2@0"], "paper", "line plus a twisted cubic"),
-    }
-    return "Proposition 4.7", computed, references
 
 
 def _ex4_8():
@@ -607,24 +573,18 @@ def _ex4_8():
     line_twisted = lesperance_curve(
         "d", 2, acm_curve=CurveRecord.abstract(3, 0, rao=RaoTag.zero())
     )
-    computed = {
-        "two_conics": [two_conics.degree, two_conics.genus, str(two_conics.rao)],
-        "line_plus_twisted_cubic": [
-            line_twisted.degree,
-            line_twisted.genus,
-            str(line_twisted.rao),
-        ],
-        "same_numerics": two_conics.dg == line_twisted.dg
-        and two_conics.rao == line_twisted.rao,
-        "distinct_constructions": two_conics.provenance != line_twisted.provenance,
+    return "Example 4.8", {
+        "two_conics": (_numerics(two_conics), _paper([4, -1, "M_2@0"])),
+        "line_plus_twisted_cubic": (_numerics(line_twisted), _paper([4, -1, "M_2@0"])),
+        "same_numerics": (
+            two_conics.dg == line_twisted.dg and two_conics.rao == line_twisted.rao,
+            _paper(True, "both minimal with module M_2"),
+        ),
+        "distinct_constructions": (
+            two_conics.provenance != line_twisted.provenance,
+            _paper(True, "two irreducible families"),
+        ),
     }
-    references = {
-        "two_conics": RefValue([4, -1, "M_2@0"], "paper"),
-        "line_plus_twisted_cubic": RefValue([4, -1, "M_2@0"], "paper"),
-        "same_numerics": RefValue(True, "paper", "both minimal with module M_2"),
-        "distinct_constructions": RefValue(True, "paper", "two irreducible families"),
-    }
-    return "Example 4.8", computed, references
 
 
 def _ex4_10():
@@ -639,61 +599,45 @@ def _ex4_10():
     d1 = elementary_biliaison(c1, 1)
     d2 = elementary_biliaison(c2, 1)
     pi = DivisorClass.blownup((2, 0, 1, 1, 1, 1))
-    computed = {
-        "conic_self": self_intersection(conic),
-        "two_disjoint_conics": intersect(conic, conic) == 0,
-        "c1_class": c1.witness.cls,
-        "c2_class": c2.witness.cls,
-        "d1_class": d1.witness.cls,
-        "d2_class": d2.witness.cls,
-        "d1_dg": d1.dg,
-        "d2_dg": d2.dg,
-        "d1_self": self_intersection(d1.witness.cls),
-        "d2_self": self_intersection(d2.witness.cls),
-        "d1_profile": multisecant_profile(d1).compact(),
-        "d2_profile": multisecant_profile(d2).compact(),
-        "d1_quadrisecants": [(str(c), f) for c, f in k_secant_lines(d1, 4)],
-        "d2_quadrisecants": [(str(c), f) for c, f in k_secant_lines(d2, 4)],
-        "d1_trisecant_count": len(k_secant_lines(d1, 3)),
-        "d1_conic_plane": intersect(d1.witness.cls, pi),
-        "d2_conic_plane": intersect(d2.witness.cls, pi),
-        "d1_pencil_bound": plane_pencil_bound(d1, pi),
-        "d2_pencil_bound": plane_pencil_bound(d2, pi),
-        "d1_rao": str(d1.rao),
-        "d2_rao": str(d2.rao),
-        "family_dim_d1": family_dimension(dp, d1.witness.cls),
-        "hilbert_bound_8_3": hilbert_dim_lower_bound(8, 3),
-        "general_curve_escapes_del_pezzo": family_dimension(dp, d1.witness.cls)
-        < hilbert_dim_lower_bound(8, 3),
-    }
-    references = {
-        "conic_self": RefValue(0, "derived", "conic moves in a pencil"),
-        "two_disjoint_conics": RefValue(True, "paper", "two such are disjoint"),
-        "d1_class": RefValue("(5;3,1,1,1,1)", "paper"),
-        "d2_class": RefValue("(4;1,1,1,1,0)", "paper"),
-        "d1_dg": RefValue([8, 3], "paper"),
-        "d2_dg": RefValue([8, 3], "paper"),
-        "d1_self": RefValue(12, "paper"),
-        "d2_self": RefValue(12, "paper"),
-        "d1_profile": RefValue("1^8,3^8", "paper"),
-        "d2_profile": RefValue("0,1^4,2^6,3^4,4", "paper"),
-        "d1_quadrisecants": RefValue([], "paper", "no quadrisecant"),
-        "d2_quadrisecants": RefValue(
-            [["(2;1,1,1,1,1)", "finite"]], "paper", "a quadrisecant line"
+    family_dim = family_dimension(dp, d1.witness.cls)
+    bound = hilbert_dim_lower_bound(8, 3)
+    return "Example 4.10", {
+        "conic_self": (self_intersection(conic), _derived(0, "conic moves in a pencil")),
+        "two_disjoint_conics": (
+            intersect(conic, conic) == 0, _paper(True, "two such are disjoint")
         ),
-        "d1_conic_plane": RefValue(6, "paper"),
-        "d2_conic_plane": RefValue(5, "paper"),
-        "d1_pencil_bound": RefValue(2, "paper", "hyperelliptic"),
-        "d2_pencil_bound": RefValue(3, "paper", "gonality 3"),
-        "d1_rao": RefValue("M_2@1", "paper", "module M_2 after one ascending step"),
-        "d2_rao": RefValue("M_2@1", "paper"),
-        "family_dim_d1": RefValue(36, "derived", "26 + dim|C|"),
-        "hilbert_bound_8_3": RefValue(38, "derived"),
-        "general_curve_escapes_del_pezzo": RefValue(
-            True, "paper", "general (8,3) curve does not lie on this surface"
+        "c1_class": (c1.witness.cls, None),
+        "c2_class": (c2.witness.cls, None),
+        "d1_class": (d1.witness.cls, _paper("(5;3,1,1,1,1)")),
+        "d2_class": (d2.witness.cls, _paper("(4;1,1,1,1,0)")),
+        "d1_dg": (d1.dg, _paper([8, 3])),
+        "d2_dg": (d2.dg, _paper([8, 3])),
+        "d1_self": (self_intersection(d1.witness.cls), _paper(12)),
+        "d2_self": (self_intersection(d2.witness.cls), _paper(12)),
+        "d1_profile": (multisecant_profile(d1).compact(), _paper("1^8,3^8")),
+        "d2_profile": (multisecant_profile(d2).compact(), _paper("0,1^4,2^6,3^4,4")),
+        "d1_quadrisecants": (
+            [(str(c), f) for c, f in k_secant_lines(d1, 4)],
+            _paper([], "no quadrisecant"),
+        ),
+        "d2_quadrisecants": (
+            [(str(c), f) for c, f in k_secant_lines(d2, 4)],
+            _paper([["(2;1,1,1,1,1)", "finite"]], "a quadrisecant line"),
+        ),
+        "d1_trisecant_count": (len(k_secant_lines(d1, 3)), None),
+        "d1_conic_plane": (intersect(d1.witness.cls, pi), _paper(6)),
+        "d2_conic_plane": (intersect(d2.witness.cls, pi), _paper(5)),
+        "d1_pencil_bound": (plane_pencil_bound(d1, pi), _paper(2, "hyperelliptic")),
+        "d2_pencil_bound": (plane_pencil_bound(d2, pi), _paper(3, "gonality 3")),
+        "d1_rao": (str(d1.rao), _paper("M_2@1", "module M_2 after one ascending step")),
+        "d2_rao": (str(d2.rao), _paper("M_2@1")),
+        "family_dim_d1": (family_dim, _derived(36, "26 + dim|C|")),
+        "hilbert_bound_8_3": (bound, _derived(38)),
+        "general_curve_escapes_del_pezzo": (
+            family_dim < bound,
+            _paper(True, "general (8,3) curve does not lie on this surface"),
         ),
     }
-    return "Example 4.10", computed, references
 
 
 REGISTRY = {
@@ -722,8 +666,7 @@ def experiment_ids() -> tuple[str, ...]:
 
 def run_experiment(experiment_id: str) -> ExperimentReport:
     """Run one registered experiment, time it with ``time.perf_counter``
-    and compare its values against its references.  Each registered
-    function returns ``(anchor, computed, references)``.
+    and split its ``(anchor, rows)`` into computed values and references.
     """
     if experiment_id not in REGISTRY:
         raise InvalidInvocationError(
@@ -731,21 +674,13 @@ def run_experiment(experiment_id: str) -> ExperimentReport:
             + ", ".join(REGISTRY)
         )
     started = time.perf_counter()
-    anchor, computed, references = REGISTRY[experiment_id]()
+    anchor, rows = REGISTRY[experiment_id]()
     runtime = time.perf_counter() - started
-    computed = {k: _jnorm(v) for k, v in computed.items()}
-    matches = {}
-    for key, ref in references.items():
-        if key in computed:
-            matches[key] = computed[key] == ref.value
-        else:
-            matches[key] = None  # display-only reference
     return ExperimentReport(
         experiment_id=experiment_id,
         anchor=anchor,
-        computed=computed,
-        references=references,
-        matches=matches,
+        computed={k: _jnorm(v) for k, (v, _) in rows.items() if v is not NOT_RECOMPUTED},
+        references={k: ref for k, (_, ref) in rows.items() if ref is not None},
         runtime_seconds=round(runtime, 6),
     )
 

@@ -189,9 +189,6 @@ class PointChain:
 
     states: tuple[HVector, ...]
     links: tuple[HVector, ...]
-    start_count: int
-    monotone_descending: bool
-    max_intermediate_degree: int
 
     def __post_init__(self):
         if len(self.links) != max(len(self.states) - 1, 0):
@@ -204,6 +201,22 @@ class PointChain:
     @property
     def length(self) -> int:
         return len(self.links)
+
+    @property
+    def start_count(self) -> int:
+        return self.states[0].mass
+
+    @property
+    def monotone_descending(self) -> bool:
+        counts = self.counts
+        return all(a > b for a, b in zip(counts, counts[1:]))
+
+    @property
+    def max_intermediate_degree(self) -> int:
+        """Largest point count of a linking scheme or an intermediate
+        configuration; the start count when there is neither."""
+        masses = [w.mass for w in self.links] + [s.mass for s in self.states[1:-1]]
+        return max(masses, default=self.start_count)
 
     @property
     def exceeds_start(self) -> bool:
@@ -367,14 +380,6 @@ def glicci_chain(
     left, right = path_to(parent_a, meet), path_to(parent_b, meet)
     seq = [m for _, m in left] + [m for _, m in reversed(right[:-1])]
     links = tuple(w for w, _ in left[1:]) + tuple(w for w, _ in reversed(right[1:]))
-    states = tuple(generator(m) for m in seq)
-    inter_masses = [w.mass for w in links] + [s.mass for s in states[1:-1]]
-    chain = PointChain(
-        states=states,
-        links=links,
-        start_count=n,
-        monotone_descending=all(a > b for a, b in zip(seq, seq[1:])),
-        max_intermediate_degree=max(inter_masses) if inter_masses else states[0].mass,
-    )
+    chain = PointChain(states=tuple(generator(m) for m in seq), links=links)
     chain.validate()
     return chain

@@ -43,10 +43,6 @@ class HVector:
     def mass(self) -> int:
         return sum(self.entries)
 
-    @property
-    def socle_degree(self) -> int:
-        return len(self.entries) - 1
-
     def get(self, i: int) -> int:
         return self.entries[i] if 0 <= i < len(self.entries) else 0
 

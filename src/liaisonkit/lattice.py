@@ -65,13 +65,6 @@ class DivisorClass:
     def quadric(cls, coeffs) -> "DivisorClass":
         return cls(QUADRIC, tuple(coeffs))
 
-    @property
-    def n_points(self) -> int:
-        """Number of blown-up points (lattice rank minus one)."""
-        if self.basis != BLOWNUP_PLANE:
-            raise BasisMismatchError("n_points is only defined on blownup_plane")
-        return len(self.coeffs) - 1
-
     def _check_same(self, other: "DivisorClass") -> None:
         if not isinstance(other, DivisorClass):
             raise InvalidClassError(f"expected DivisorClass, got {type(other)!r}")

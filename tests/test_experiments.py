@@ -1,13 +1,21 @@
 """Every registered experiment reproduces its references, its report
 survives a JSON round trip, and its JSON matches the frozen
-``experiment run all --format json`` output of the benchmark oracle."""
+``experiment run all --format json`` output of the benchmark oracle.
+Reports derive their matches from the rows an experiment returns."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from liaisonkit.experiments import REGISTRY, ExperimentReport, run_experiment
+from liaisonkit import experiments
+from liaisonkit.experiments import (
+    NOT_RECOMPUTED,
+    REGISTRY,
+    ExperimentReport,
+    RefValue,
+    run_experiment,
+)
 
 # the reports of `experiment run all --format json`, runtime_seconds lines removed
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "reproduce.txt"
@@ -36,3 +44,27 @@ def test_experiment_matches_and_round_trips(experiment_id, frozen_reports):
     assert ExperimentReport.from_dict(data) == report
     del data["runtime_seconds"]
     assert data == frozen_reports[experiment_id]
+
+
+def test_report_derives_matches_from_rows(monkeypatch):
+    def fake():
+        return "Fake 0.0", {
+            "agrees": ((1, 2), RefValue([1, 2], "paper")),
+            "disagrees": (None, RefValue(2, "derived", "a failed search")),
+            "display_only": (NOT_RECOMPUTED, RefValue(69, "paper", "not recomputed")),
+            "shown": (7, None),
+        }
+
+    monkeypatch.setattr(experiments, "REGISTRY", {"fake": fake})
+    report = run_experiment("fake")
+    assert report.computed == {"agrees": [1, 2], "disagrees": None, "shown": 7}
+    assert set(report.references) == {"agrees", "disagrees", "display_only"}
+    assert report.matches == {"agrees": True, "disagrees": False, "display_only": None}
+    assert not report.all_match
+    data = json.loads(json.dumps(report.to_dict()))
+    assert data["matches"] == report.matches
+    # a stored match that contradicts the stored values is not believed
+    data["matches"]["disagrees"] = True
+    restored = ExperimentReport.from_dict(data)
+    assert restored == report
+    assert restored.matches["disagrees"] is False

@@ -298,9 +298,6 @@ def test_validation_rejects_tampered_chain():
     tampered = PointChain(
         states=(chain.states[0], generic_points_h_vector(2), chain.states[-1]),
         links=chain.links[:1] + chain.links[:1],
-        start_count=5,
-        monotone_descending=True,
-        max_intermediate_degree=chain.max_intermediate_degree,
     )
     with pytest.raises(LinkageError):
         tampered.validate()
