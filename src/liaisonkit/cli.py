@@ -15,8 +15,8 @@ from .errors import InvalidInvocationError, LiaisonkitError, UnsupportedSurfaceE
 from .lattice import DivisorClass
 from .surfaces import get_surface, lines_on, conic_classes, surface_ids
 from .curves import CurveRecord
-from .liaison import SearchFailure, ascending_chain_search
-from .glicci import GlicciFailure, glicci_chain
+from .liaison import ascending_chain_search
+from .glicci import glicci_chain
 from .experiments import divisor_eval, experiment_ids, run_experiment
 
 EXIT_OK = 0
@@ -26,7 +26,7 @@ EXIT_INVALID = 2
 
 def parse_coeffs(text: str) -> tuple[int, ...]:
     """Parse ``5;3,1,1,1,1`` or ``5,3,1^4`` or ``0;0^9,-1`` into a tuple.
-    A caret expands repeats: ``1^4`` is four ones."""
+    A caret expands repeats: ``1^4`` is four ones; a count below 1 is refused."""
     text = text.strip().replace("(", "").replace(")", "")
     text = text.replace(";", ",")
     out: list[int] = []
@@ -34,14 +34,30 @@ def parse_coeffs(text: str) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "^" in part:
-            val, count = part.split("^")
-            out.extend([int(val)] * int(count))
-        else:
-            out.append(int(part))
+        val, caret, count = part.partition("^")
+        try:
+            repeats = int(count) if caret else 1
+        except ValueError:
+            repeats = 0
+        if repeats < 1:
+            raise InvalidInvocationError(f"repeat count in {part!r} must be an integer >= 1")
+        out.extend([int(val)] * repeats)
     if not out:
         raise InvalidInvocationError(f"empty coefficient list {text!r}")
     return tuple(out)
+
+
+def _surface_class(surface_id: str, text: str, catalog: str | None, name: str):
+    """The catalog surface and the class on it that ``text`` gives; ``name``
+    labels the argument in the message for a wrong coefficient count."""
+    surface = get_surface(surface_id, catalog)
+    values = parse_coeffs(text)
+    rank = len(surface.H.coeffs)
+    if len(values) != rank:
+        raise InvalidInvocationError(
+            f"{name} on {surface_id} needs {rank} coefficients, got {len(values)}"
+        )
+    return surface, DivisorClass(surface.basis, values)
 
 
 def _emit(data: dict, fmt: str) -> None:
@@ -51,6 +67,15 @@ def _emit(data: dict, fmt: str) -> None:
     width = max((len(k) for k in data), default=0)
     for key, value in data.items():
         print(f"{key:<{width}}  {value}")
+
+
+def _emit_failure(result, fmt: str) -> int:
+    data = {"found": False, "explored": result.explored}
+    if result.frontier_sizes:
+        data["frontier_sizes"] = list(result.frontier_sizes)
+    data["bounds"] = result.bounds
+    _emit(data, fmt)
+    return EXIT_MISMATCH
 
 
 def _cmd_surface_show(args) -> int:
@@ -77,8 +102,8 @@ def _cmd_surface_show(args) -> int:
 
 
 def _cmd_divisor_eval(args) -> int:
-    coeffs = parse_coeffs(args.coeffs)
-    _emit(divisor_eval(args.surface, coeffs, args.catalog), args.format)
+    surface, cls = _surface_class(args.surface, args.coeffs, args.catalog, "coeffs")
+    _emit(divisor_eval(surface, cls), args.format)
     return EXIT_OK
 
 
@@ -97,14 +122,7 @@ def _cmd_biliaison_chain(args) -> int:
             raise InvalidInvocationError(
                 f"expected --start SURFACE:COEFFS, got {args.start!r}"
             )
-        surface = get_surface(sid, args.catalog)
-        values = parse_coeffs(coeffs)
-        rank = len(surface.H.coeffs)
-        if len(values) != rank:
-            raise InvalidInvocationError(
-                f"--start on {sid} needs {rank} coefficients, got {len(values)}"
-            )
-        starts = [CurveRecord.on_surface(surface, DivisorClass(surface.basis, values))]
+        starts = [CurveRecord.on_surface(*_surface_class(sid, coeffs, args.catalog, "--start"))]
     try:
         result = ascending_chain_search(
             (d, g),
@@ -121,17 +139,8 @@ def _cmd_biliaison_chain(args) -> int:
             f"{exc}: use --start SURFACE:COEFFS, "
             "e.g. --start quadric_p3:1,0 for a ruling of the quadric"
         ) from None
-    if isinstance(result, SearchFailure):
-        _emit(
-            {
-                "found": False,
-                "explored": result.explored,
-                "frontier_sizes": list(result.frontier_sizes),
-                "bounds": result.bounds,
-            },
-            args.format,
-        )
-        return EXIT_MISMATCH
+    if not result.found:
+        return _emit_failure(result, args.format)
     data = {
         "found": True,
         "steps": result.liaison_steps,
@@ -151,12 +160,8 @@ def _cmd_glicci(args) -> int:
         max_intermediate=args.max_intermediate,
         surface_degree=args.surface_degree,
     )
-    if isinstance(chain, GlicciFailure):
-        _emit(
-            {"found": False, "explored": chain.explored, "bounds": chain.bounds},
-            args.format,
-        )
-        return EXIT_MISMATCH
+    if not chain.found:
+        return _emit_failure(chain, args.format)
     data = {
         "found": True,
         "points": args.points,

@@ -30,6 +30,7 @@ from .lattice import (
     self_intersection,
 )
 from .surfaces import (
+    SurfaceModel,
     class_representatives,
     enumerate_classes,
     get_surface,
@@ -46,14 +47,13 @@ from .curves import (
     plane_pencil_bound,
 )
 from .liaison import (
-    SearchFailure,
     ascending_chain_search,
     elementary_biliaison,
     family_dimension,
     hilbert_dim_lower_bound,
 )
 from .hvectors import acm_h_vector_candidates, acm_character
-from .glicci import GlicciFailure, glicci_chain
+from .glicci import glicci_chain
 
 SCHEMA_VERSION = 1
 
@@ -262,7 +262,7 @@ def _prop2_1():
     ok = True
     for n in range(1, 31):
         chain = glicci_chain(n, ambient="P2")
-        if isinstance(chain, GlicciFailure):
+        if not chain.found:
             ok = False
             continue
         lengths[n] = chain.length
@@ -319,7 +319,7 @@ def _prop2_3():
     n18 = None
     for n in range(1, 20):
         chain = glicci_chain(n, ambient="P3", surface_degree=3)
-        if isinstance(chain, GlicciFailure):
+        if not chain.found:
             ok = False
             continue
         if n == 18:
@@ -342,9 +342,9 @@ def _cor2_4():
     full_ok = True
     cubic_ok = True
     for n in range(1, 20):
-        if isinstance(glicci_chain(n, ambient="P3", mode="full"), GlicciFailure):
+        if not glicci_chain(n, ambient="P3", mode="full").found:
             full_ok = False
-        if isinstance(glicci_chain(n, ambient="P3", surface_degree=3), GlicciFailure):
+        if not glicci_chain(n, ambient="P3", surface_degree=3).found:
             cubic_ok = False
     return "Corollary 2.4", {
         "all_glicci_up_to_19": (
@@ -392,7 +392,7 @@ def _prop3_1():
     ok = True
     for d, g in admitted:
         res = ascending_chain_search((d, g), surfaces=list(trio), max_steps=6)
-        if isinstance(res, SearchFailure):
+        if not res.found:
             ok = False
             chains[(d, g)] = None
         else:
@@ -414,7 +414,7 @@ def _prop3_1():
         ),
         "chain_steps": ([[d, g, chains[(d, g)]] for d, g in admitted], None),
         "bordiga_10_6_steps": (
-            None if isinstance(bordiga_res, SearchFailure) else bordiga_res.liaison_steps,
+            bordiga_res.liaison_steps if bordiga_res.found else None,
             _paper(2, "the (10,6) case uses the degree-6 surface"),
         ),
     }
@@ -527,7 +527,7 @@ def _ex4_5():
         (11, 7), surfaces=["cubic_scroll", "bordiga_6"], starts=[start], max_steps=4
     )
     steps_ref = _paper(2, "two ascending steps")
-    if isinstance(res, SearchFailure):
+    if not res.found:
         return "Example 4.5", {
             "steps": (None, steps_ref),
             "search_explored": (res.explored, None),
@@ -685,11 +685,10 @@ def run_experiment(experiment_id: str) -> ExperimentReport:
     )
 
 
-def divisor_eval(surface_id: str, coeffs, catalog_path: str | None = None) -> dict:
-    """One-shot calculator: degree, genus, self-intersection, dimension
-    estimate, and the multisecant profile where lines are enumerable."""
-    surface = get_surface(surface_id, catalog_path)
-    cls = DivisorClass(surface.basis, tuple(coeffs))
+def divisor_eval(surface: SurfaceModel, cls: DivisorClass) -> dict:
+    """One-shot calculator for a class on ``surface``: degree, genus,
+    self-intersection, dimension estimate, and the multisecant profile
+    where lines are enumerable."""
     record = CurveRecord.on_surface(surface, cls)
     out = {
         "surface": surface.id,

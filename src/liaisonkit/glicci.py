@@ -10,7 +10,7 @@ re-validated step by step before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import comb
@@ -26,7 +26,7 @@ from .hvectors import (
     link_h_vector,
     macaulay_bound,
 )
-from .search import expand, path_to
+from .search import SearchFailure, expand, path_to
 
 DEFAULT_SOCLE_BOUND = 12
 
@@ -42,7 +42,10 @@ def _build_gorenstein_h_vectors(
     SI-sequence by construction; ``is_gorenstein_h_vector`` stays the
     test oracle.  The search prunes on sum(half) <= max_mass, which is at
     most the mass of every completion below it, so a build capped at m is
-    the mass filter of any build capped higher, order included."""
+    the mass filter of any build capped higher, order included.  No two
+    halves complete to the same vector: every entry is >= 1, so socle
+    degree s gives length s + 1, and one s and one half give one
+    completion."""
     found = []
 
     def build(first_half, s):
@@ -71,7 +74,7 @@ def _build_gorenstein_h_vectors(
 
     for s in range(0, socle_bound + 1):
         extend([1], [1], s)
-    return tuple(sorted(set(found), key=lambda h: h.entries))
+    return tuple(sorted(found, key=lambda h: h.entries))
 
 
 def _check_socle_bound(socle_bound) -> None:
@@ -190,6 +193,8 @@ class PointChain:
     states: tuple[HVector, ...]
     links: tuple[HVector, ...]
 
+    found = True
+
     def __post_init__(self):
         if len(self.links) != max(len(self.states) - 1, 0):
             raise LiaisonkitError("chain shape mismatch")
@@ -234,17 +239,6 @@ class PointChain:
                 )
 
 
-@dataclass(frozen=True)
-class GlicciFailure:
-    n: int
-    explored: int
-    bounds: dict = field(default_factory=dict)
-
-    @property
-    def found(self) -> bool:
-        return False
-
-
 def glicci_chain(
     n: int,
     ambient: str = "P3",
@@ -254,7 +248,8 @@ def glicci_chain(
     surface_degree: int | None = None,
 ):
     """Shortest chain of Gorenstein links from n general points down to a
-    single point, or a :class:`GlicciFailure` report.
+    single point, or a :class:`~liaisonkit.search.SearchFailure` report
+    whose target is n.
 
     ``mode`` is ``full`` (bidirectional search, ascending links allowed)
     or ``descending_only``.  ``surface_degree`` constrains every
@@ -361,8 +356,8 @@ def glicci_chain(
             meets = [m for m in front_b if m in parent_a]
 
     if not meets:
-        return GlicciFailure(
-            n=n,
+        return SearchFailure(
+            target=n,
             explored=explored,
             bounds={
                 "max_intermediate": max_intermediate,

@@ -11,8 +11,7 @@ shift of a biliaison of height ``m' - m``.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     LiaisonkitError,
@@ -36,12 +35,9 @@ from .surfaces import (
     lines_on,
     load_catalog,
     screen_rows,
-    surface_family_dim,
 )
 from .curves import CurveRecord, RaoTag
-from .search import expand, path_to
-
-logger = logging.getLogger(__name__)
+from .search import SearchFailure, expand, path_to
 
 BILIAISON = "biliaison"
 G_LINK = "g_link"
@@ -74,6 +70,8 @@ class Chain:
 
     steps: tuple[ChainStep, ...]
     ascending_only: bool = True
+
+    found = True
 
     def __post_init__(self):
         for a, b in zip(self.steps, self.steps[1:]):
@@ -120,23 +118,15 @@ def elementary_biliaison(curve: CurveRecord, h: int) -> CurveRecord:
     Degree becomes d + h*deg(S) and the genus moves by
     h*d + h*(h*deg(S) + H.K)/2; both are recomputed from the lattice.
     The Rao tag shifts by h.  The resulting class is not checked for
-    effectivity; failures of the cheap screen are logged.
+    effectivity; the chain search certifies the classes it returns.
     """
     surface = curve.witness_surface()
-    new_cls = curve.witness.cls + h * surface.H
-    result = CurveRecord.on_surface(
+    return CurveRecord.on_surface(
         surface,
-        new_cls,
+        curve.witness.cls + h * surface.H,
         rao=curve.rao.shifted(h),
         provenance=f"{curve.provenance}+{h}H" if curve.provenance else f"+{h}H",
     )
-    if not is_effective_candidate(surface, new_cls):
-        logger.warning(
-            "biliaison result %s on %s fails the effectivity screen",
-            new_cls,
-            surface.id,
-        )
-    return result
 
 
 def biliaison_genus_formula(curve: CurveRecord, h: int) -> int:
@@ -194,8 +184,13 @@ def ci_link_p3(curve: CurveRecord, f1: int, f2: int) -> CurveRecord:
 
 def family_dimension(surface: SurfaceModel, cls: DivisorClass) -> int:
     """Dimension of the family swept by |C| as the surface moves:
-    surface family dimension plus the Riemann-Roch estimate for dim |C|."""
-    return surface_family_dim(surface) + expected_dim_linear_system(cls, surface)
+    the catalog's surface family dimension plus the Riemann-Roch estimate
+    for dim |C|.  The catalog defines the former for P4 surfaces only."""
+    if surface.family_dim is None:
+        raise UnsupportedSurfaceError(
+            f"family dimension undefined for {surface.id} (ambient {surface.ambient})"
+        )
+    return surface.family_dim + expected_dim_linear_system(cls, surface)
 
 
 def hilbert_dim_lower_bound(d: int, g: int) -> int:
@@ -251,20 +246,6 @@ def validate_rewitness_table() -> None:
 
 # Also warms ``lines_on`` for the table's surfaces before any search runs.
 validate_rewitness_table()
-
-
-@dataclass(frozen=True)
-class SearchFailure:
-    """Exhaustion report: the search ran out of states inside its box."""
-
-    target: object
-    explored: int
-    frontier_sizes: tuple[int, ...]
-    bounds: dict = field(default_factory=dict)
-
-    @property
-    def found(self) -> bool:
-        return False
 
 
 _COEFF_BOX = 60
@@ -405,9 +386,13 @@ def ascending_chain_search(
     the order of ``surfaces`` does not change the chain, nor does the
     order of ``starts`` unless two starts share a class with different
     Rao tags (the first one listed wins).  The chain is replayed on
-    divisor classes from its root.  Failure is a value
-    (:class:`SearchFailure`); a target of degree < 1, which no curve
-    has, raises :class:`~liaisonkit.errors.LiaisonkitError`.
+    divisor classes from its root and certified: every biliaison and
+    Gorenstein-link result must pass :func:`is_effective_candidate` and
+    the last record must meet the target, or
+    :class:`~liaisonkit.errors.LiaisonkitError` is raised.  Failure is a
+    value (:class:`~liaisonkit.search.SearchFailure`); a target of
+    degree < 1, which no curve has, raises
+    :class:`~liaisonkit.errors.LiaisonkitError`.
 
     Each state of the level being expanded and of the level being built
     carries its invariants (deg, C^2, C.K, min_L L.C, max_L (L.K + L.C)).
@@ -533,8 +518,21 @@ def ascending_chain_search(
                 if after.dg != record.dg:
                     raise LiaisonkitError("rewitness changed (d,g)")
                 step = ChainStep(REWITNESS, before=record, after=after)
+            if kind != REWITNESS and not is_effective_candidate(
+                after.witness.surface, after.witness.cls
+            ):
+                raise LiaisonkitError(
+                    f"replayed {kind} result {after.witness.cls} on {sid} "
+                    "fails the effectivity screen"
+                )
             steps.append(step)
             record = after
+        if target_state is None:
+            missed = record.dg != target_dg
+        else:
+            missed = (record.witness.surface.id, record.witness.cls.coeffs) != target_state
+        if missed:
+            raise LiaisonkitError(f"replayed chain ends at {record}, not at {target}")
         return Chain(tuple(steps), ascending_only=ascending_only)
 
     def moves(state):

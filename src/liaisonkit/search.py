@@ -9,6 +9,21 @@ reached, not on the order in which they were found.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class SearchFailure:
+    """Exhaustion report of either chain search; every search result has
+    ``found``.  ``frontier_sizes`` is empty when no level sizes are kept."""
+
+    target: object
+    explored: int
+    frontier_sizes: tuple[int, ...] = ()
+    bounds: dict = field(default_factory=dict)
+
+    found = False
+
 
 def expand(frontier, parent, moves):
     """Run one level from ``frontier`` and return the newly reached

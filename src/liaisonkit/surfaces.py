@@ -163,20 +163,6 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
     return tuple(sorted(load_catalog(catalog_path)))
 
 
-def surface_family_dim(surface: SurfaceModel) -> int:
-    """Stored dimension of the family of such surfaces in P4.
-
-    The catalog fills P4 blown-up-plane entries with 2n - 8 + 24 (point
-    positions modulo plane automorphisms plus ambient coordinates) unless
-    a record overrides it; P3/P2 entries have no defined value.
-    """
-    if surface.family_dim is None:
-        raise UnsupportedSurfaceError(
-            f"family dimension undefined for {surface.id} (ambient {surface.ambient})"
-        )
-    return surface.family_dim
-
-
 # ---------------------------------------------------------------------------
 # Bounded integer enumeration of classes with prescribed invariants.
 #

@@ -89,6 +89,31 @@ def test_start_with_wrong_coefficient_count_is_invalid_invocation(capsys):
     assert "--start on cubic_scroll needs 2 coefficients, got 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["biliaison", "chain", "--target", "5,0", "--start", "cubic_scroll:1^-1,2,2"],
+            "repeat count in '1^-1' must be an integer >= 1",
+        ),
+        (["divisor", "eval", "cubic_scroll", "1^0,2,1"], "repeat count in '1^0'"),
+        (["divisor", "eval", "del_pezzo_4", "5;3,1^-4"], "repeat count in '1^-4'"),
+        (["divisor", "eval", "del_pezzo_4", "5;3,1^x"], "repeat count in '1^x'"),
+        (
+            ["divisor", "eval", "del_pezzo_4", "5;3,1^4,1"],
+            "coeffs on del_pezzo_4 needs 6 coefficients, got 7",
+        ),
+    ],
+    ids=["start-negative-repeat", "zero-repeat", "negative-repeat", "text-repeat", "wrong-count"],
+)
+def test_bad_class_argument_is_invalid_invocation(argv, message, capsys):
+    code = cli.main(argv)
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_chain_search_on_alternate_catalog(scroll_catalog, capsys):
     code = cli.main(
         [
@@ -183,6 +208,24 @@ LOADS = {
     "experiments": "curves data errors experiments glicci hvectors lattice liaison search surfaces",
     "cli": "cli curves data errors experiments glicci hvectors lattice liaison search surfaces",
 }
+
+
+def test_importing_liaison_loads_no_logging():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import liaisonkit.liaison\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'logging'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", sorted(LOADS))

@@ -10,7 +10,6 @@ import pytest
 from liaisonkit import glicci
 from liaisonkit.errors import LiaisonkitError, LinkageError
 from liaisonkit.glicci import (
-    GlicciFailure,
     PointChain,
     _build_gorenstein_h_vectors,
     _gorenstein_h_vectors,
@@ -24,6 +23,7 @@ from liaisonkit.hvectors import (
     is_gorenstein_h_vector,
     link_h_vector,
 )
+from liaisonkit.search import SearchFailure
 
 
 def test_ag_candidates_basic():
@@ -102,6 +102,7 @@ def test_mass_filtered_table_equals_a_capped_build():
         one_point = HVector((1,), ambient_codim=codim)
         for socle_bound in range(13):
             full = _build_gorenstein_h_vectors(codim, 10**6, socle_bound)
+            assert len(set(full)) == len(full)
             sat = _saturation(codim, socle_bound)
             assert sat == max(w.mass for w in full)
             step = 1 if socle_bound <= 8 else 7
@@ -234,7 +235,7 @@ def test_glicci_sweep_oracle():
     for key, want in oracle["table"].items():
         mode, n = json.loads(key)
         result = glicci_chain(n, **GLICCI_MODES[mode])
-        if isinstance(result, GlicciFailure):
+        if isinstance(result, SearchFailure):
             got = "fail"
         else:
             result.validate()
@@ -306,7 +307,8 @@ def test_validation_rejects_tampered_chain():
 def test_failure_is_a_value():
     # an impossible budget: can't even contain the configuration
     result = glicci_chain(12, max_intermediate=12, socle_bound=3)
-    assert isinstance(result, GlicciFailure)
+    assert isinstance(result, SearchFailure)
+    assert (result.target, result.frontier_sizes) == (12, ())
     assert result.bounds["socle_bound"] == 3
     assert not result.found
 
@@ -316,7 +318,7 @@ def test_max_intermediate_below_n_is_rejected():
         glicci_chain(5, max_intermediate=3)
     # equal to n stays legal
     assert glicci_chain(1, max_intermediate=1).counts == (1,)
-    assert isinstance(glicci_chain(3, max_intermediate=3), GlicciFailure)
+    assert isinstance(glicci_chain(3, max_intermediate=3), SearchFailure)
 
 
 def test_input_validation():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from liaisonkit import liaison
 from liaisonkit.curves import CurveRecord, RaoTag
 from liaisonkit.errors import (
     LiaisonkitError,
@@ -25,7 +26,6 @@ from liaisonkit.liaison import (
     REWITNESS,
     REWITNESS_TABLE,
     Chain,
-    SearchFailure,
     ascending_chain_search,
     biliaison_genus_formula,
     ci_link_p3,
@@ -37,6 +37,7 @@ from liaisonkit.liaison import (
     screened_moves,
     validate_rewitness_table,
 )
+from liaisonkit.search import SearchFailure
 from liaisonkit.surfaces import (
     get_surface,
     is_effective_candidate,
@@ -201,6 +202,13 @@ def test_family_dimension_values():
     assert family_dimension(BORDIGA, e10) == 36 + 0
 
 
+def test_family_dimension_is_undefined_off_p4():
+    for sid in ("cubic_surface_p3", "quadric_p3", "plane_p2"):
+        surface = get_surface(sid)
+        with pytest.raises(UnsupportedSurfaceError, match=f"undefined for {sid}"):
+            family_dimension(surface, surface.H)
+
+
 def test_hilbert_dim_lower_bound():
     assert hilbert_dim_lower_bound(20, 26) == 75
     # oracle: lines in P4 = points of the Grassmannian G(1,4), dim 2*(5-2)
@@ -246,6 +254,23 @@ def test_search_class_target():
     chain = ascending_chain_search(("cubic_scroll", B((7, 4))), surfaces=["cubic_scroll"])
     assert isinstance(chain, Chain)
     assert chain.end.witness.cls == B((7, 4))
+
+
+def test_replay_rejects_a_class_that_fails_the_screen(monkeypatch):
+    monkeypatch.setattr(liaison, "is_effective_candidate", lambda surface, cls: False)
+    with pytest.raises(LiaisonkitError, match="fails the effectivity screen"):
+        ascending_chain_search((10, 9), surfaces=["cubic_scroll"])
+
+
+def test_replay_rejects_a_chain_that_misses_the_target(monkeypatch):
+    # a biliaison that does not move, under a screen that passes every
+    # class: the last replayed record is still the start line
+    monkeypatch.setattr(liaison, "elementary_biliaison", lambda curve, h: curve)
+    monkeypatch.setattr(liaison, "is_effective_candidate", lambda surface, cls: True)
+    with pytest.raises(LiaisonkitError, match=r"replayed chain ends at .* not at \(10, 9\)"):
+        ascending_chain_search((10, 9), surfaces=["cubic_scroll"])
+    with pytest.raises(LiaisonkitError, match="replayed chain ends at"):
+        ascending_chain_search(("cubic_scroll", B((7, 4))), surfaces=["cubic_scroll"])
 
 
 def test_search_failure_is_a_value():

@@ -22,7 +22,6 @@ from liaisonkit.surfaces import (
     is_effective_candidate,
     lines_on,
     load_catalog,
-    surface_family_dim,
     surface_ids,
 )
 
@@ -165,13 +164,12 @@ def test_conic_classes():
 def test_family_dimensions():
     # oracles: scroll = classical 18; del Pezzo = pencils of quadrics in P4,
     # the Grassmannian of pencils in the 15-dimensional space of quadrics
-    assert surface_family_dim(get_surface("cubic_scroll")) == 18
-    assert surface_family_dim(get_surface("del_pezzo_4")) == 2 * (15 - 2) == 26
-    assert surface_family_dim(get_surface("bordiga_6")) == 2 * 10 - 8 + 24 == 36
-    assert surface_family_dim(get_surface("castelnuovo_5")) == 2 * 8 - 8 + 24
+    assert get_surface("cubic_scroll").family_dim == 18
+    assert get_surface("del_pezzo_4").family_dim == 2 * (15 - 2) == 26
+    assert get_surface("bordiga_6").family_dim == 2 * 10 - 8 + 24 == 36
+    assert get_surface("castelnuovo_5").family_dim == 2 * 8 - 8 + 24
     for sid in ("quadric_p3", "plane_p2", "cubic_surface_p3"):
-        with pytest.raises(UnsupportedSurfaceError):
-            surface_family_dim(get_surface(sid))
+        assert get_surface(sid).family_dim is None
 
 
 def test_enumerate_classes_quadric():
