@@ -102,6 +102,28 @@ class DivisorClass:
         return f"({a};{','.join(str(x) for x in b)})" if b else f"({a};)"
 
 
+_new = object.__new__
+_set_basis = DivisorClass.basis.__set__
+_set_coeffs = DivisorClass.coeffs.__set__
+
+
+def _prechecked_class(basis: str, coeffs: tuple[int, ...]) -> DivisorClass:
+    """The class ``DivisorClass(basis, coeffs)``, built without
+    ``__post_init__``.
+
+    Precondition: ``coeffs`` is a tuple of exact ints, taken (possibly
+    reordered) from a class of the lattice ``basis`` that the checking
+    constructor already built, so every check would pass again.
+
+    >>> _prechecked_class(BLOWNUP_PLANE, (1, 0)) == DivisorClass.blownup((1, 0))
+    True
+    """
+    c = _new(DivisorClass)
+    _set_basis(c, basis)
+    _set_coeffs(c, coeffs)
+    return c
+
+
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Intersection number of two classes in the same lattice.
 

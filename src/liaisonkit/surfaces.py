@@ -27,6 +27,7 @@ from .lattice import (
     BLOWNUP_PLANE,
     QUADRIC,
     DivisorClass,
+    _prechecked_class,
     arithmetic_genus,
     degree,
     intersect,
@@ -136,13 +137,21 @@ def _default_catalog_text() -> str:
 def load_catalog(path: str | None = None) -> dict[str, SurfaceModel]:
     """Load and validate the surface catalog.
 
-    ``path`` overrides the packaged data file.  The result is cached and
-    immutable; concurrent reads are unrestricted.
+    ``path`` overrides the packaged data file; a file that cannot be read
+    or is not JSON raises :class:`CatalogError` naming it.  The result is
+    cached and immutable; concurrent reads are unrestricted.
     """
     if path is None:
-        raw = json.loads(_default_catalog_text())
+        text = _default_catalog_text()
     else:
-        raw = json.loads(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"catalog {path or '(packaged)'} is not valid JSON: {exc}") from exc
     catalog: dict[str, SurfaceModel] = {}
     for rec in raw["surfaces"]:
         model = _parse_record(rec)
@@ -188,7 +197,11 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
 # This is the stabilizer of H in the Weyl group (Dolgachev, Classical
 # Algebraic Geometry, ch. 8; Manin, Cubic Forms).  Callers that test only
 # invariants iterate class_representatives; enumerate_classes expands
-# every orbit into its distinct permutations.
+# every orbit into its distinct permutations.  Only the representatives
+# go through the checking DivisorClass constructor: an orbit member
+# inherits its representative's checks, because a permutation within
+# blocks keeps the length of the coefficient tuple and moves the same
+# int objects, so every check would pass again.
 #
 # Block-order lower bound.  Suppose positions i..n-1 all carry one
 # weight w (always so for i = n - 1).  They lie in one set of
@@ -321,7 +334,9 @@ def _orbit_tuples(reps, rank, blocks):
     Each distinct arrangement of a key's source positions becomes one
     ``itemgetter`` over the coefficients, built once for the whole group;
     an output tuple is one getter call, and with ``rank >= 3`` a getter
-    always returns a tuple.
+    always returns a tuple.  Each getter maps over its whole group in C.
+    An output tuple has its representative's length and int entries, so
+    it inherits the checks of the representative's class.
 
     >>> _orbit_tuples([(5, 2, 7, 0), (1, 3, 0, 3)], 4, [(1, 3)])
     [(1, 3, 0, 3), (5, 0, 7, 2), (5, 2, 7, 0)]
@@ -343,8 +358,8 @@ def _orbit_tuples(reps, rank, blocks):
             itemgetter(*place(fixed + sum(sources, ())))
             for sources in itertools.product(*map(_multiset_permutations, key))
         ]
-        for coeffs in group:
-            out += [get(coeffs) for get in getters]
+        for get in getters:
+            out += map(get, group)
     out.sort()
     return out
 
@@ -442,6 +457,12 @@ def enumerate_classes(
     C^2 ranges over [min_self .. Hodge bound d^2 // H^2].  Every orbit of
     :func:`class_representatives` is expanded.  Output order is canonical
     (sorted coefficient tuples).
+
+    Only the representatives are built through the checking
+    :class:`DivisorClass` constructor.  The other orbit members permute
+    a representative's coefficients within blocks, which keeps the tuple
+    length and the exact int entries, so they inherit its checks and are
+    built without a second one.
     """
     reps = class_representatives(surface, deg, genus, self_ints, min_self)
     blocks = [tuple(i + 1 for i in b) for b in _weight_blocks(surface.H.coeffs[1:])]
@@ -449,7 +470,7 @@ def enumerate_classes(
         # no two points share a weight (the quadric too): orbits are single classes
         return reps
     expanded = _orbit_tuples([c.coeffs for c in reps], len(surface.H.coeffs), blocks)
-    return [DivisorClass(BLOWNUP_PLANE, c) for c in expanded]
+    return list(map(_prechecked_class, itertools.repeat(BLOWNUP_PLANE), expanded))
 
 
 @lru_cache(maxsize=None)

@@ -127,6 +127,32 @@ def test_chain_search_on_alternate_catalog(scroll_catalog, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["surface", "show", "cubic_scroll"], ["divisor", "eval", "cubic_scroll", "2;1"]],
+    ids=["surface-show", "divisor-eval"],
+)
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("missing.json", None, "cannot read catalog"),
+        ("bad.json", b"{surfaces:", "is not valid JSON"),
+        ("binary.json", b"\xff\xfe", "cannot read catalog"),
+    ],
+    ids=["missing", "invalid-json", "not-utf8"],
+)
+def test_bad_catalog_file_exits_2(argv, name, content, message, tmp_path, capsys):
+    catalog = tmp_path / name
+    if content is not None:
+        catalog.write_bytes(content)
+    code = cli.main([*argv, "--catalog", str(catalog)])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err and str(catalog) in captured.err
+    assert captured.out == ""
+
+
 def test_failed_chain_search_exits_1(capsys):
     code = cli.main(
         ["biliaison", "chain", "--target", "2,-1", "--surfaces", "cubic_scroll",

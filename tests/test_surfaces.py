@@ -312,6 +312,34 @@ def test_b_solver_matches_an_unpruned_box(weights):
                 assert solve(wsum, psum, sq_lo, sq_hi) == want, (wsum, psum, sq_lo, sq_hi)
 
 
+def test_two_block_orbits_match_brute_force():
+    # no catalog surface has two blocks of equal weight; H = (6; 2,2,1,1,1)
+    # does, so every orbit is a product over the blocks {1,2} and {3,4,5}.
+    # With |h|^2 = 11 and H^2 = 25 the bound above reads
+    # 25 a^2 - 12 a d + d^2 + 11 c <= 0, which for d <= 6 and c >= -3
+    # keeps a in -1..2, and then sum(b_i^2) <= a^2 - c <= 7 keeps every b_i
+    # in -2..2, so the box holds every class.
+    dp = get_surface("del_pezzo_4")
+    two = dataclasses.replace(dp, H=B((6, 2, 2, 1, 1, 1)), degree=25, sectional_genus=8)
+    degrees = range(0, 7)
+    box = [(-2, 5)] + [(-3, 3)] * 5
+    both = 0
+    for floor in (-3, -2, -1, 0):
+        brute = _box_classes(two, box, degrees, floor)
+        for d in degrees:
+            genera = sorted(g for dd, g in brute if dd == d)
+            want = sorted(c for g in genera for c in brute[(d, g)])
+            assert [c.coeffs for c in enumerate_classes(two, d, min_self=floor)] == want
+            reps = [c for c in want if c[1] >= c[2] and c[3] >= c[4] >= c[5]]
+            got = class_representatives(two, d, min_self=floor)
+            assert [c.coeffs for c in got] == reps, (d, floor)
+            for g in genera + [99]:
+                pinned = enumerate_classes(two, d, genus=g, min_self=floor)
+                assert [c.coeffs for c in pinned] == brute.get((d, g), []), (d, floor, g)
+            both += sum(b1 != b2 and len({b3, b4, b5}) > 1 for _, b1, b2, b3, b4, b5 in reps)
+    assert both  # some orbits move both blocks at once
+
+
 def test_enumeration_follows_a_permuted_catalog():
     # equal weights need not be adjacent: moving castelnuovo's weight-2
     # point between the weight-1 points permutes every class the same way
@@ -345,7 +373,10 @@ CENSUS_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "clas
 
 def test_class_census_oracle():
     # the benchmark's frozen counts and digests for every cell, the
-    # 57,890-class anchor included; the digest recipe is bench/worker.py's
+    # 57,890-class anchor included; the digest recipe is bench/worker.py's.
+    # Orbit members skip the checking constructor, so each cell's classes
+    # must also equal, hash like and freeze like checked builds of the same
+    # coefficients, arrive sorted, and hold exact ints only.
     oracle = json.loads(CENSUS_ORACLE.read_text(encoding="utf-8"))
     assert len(oracle["table"]) == 152
     wrong = []
@@ -360,6 +391,14 @@ def test_class_census_oracle():
         text = "\n".join(",".join(map(str, c)) for c in coeffs)
         if [len(coeffs), hashlib.sha256(text.encode()).hexdigest()] != want:
             wrong.append(key)
+        assert [c.coeffs for c in result] == coeffs, key
+        checked = [DivisorClass(c.basis, c.coeffs) for c in result]
+        assert result == checked, key
+        assert list(map(hash, result)) == list(map(hash, checked)), key
+        assert all(type(x) is int for c in coeffs for x in c), key
+        if result:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result[-1].coeffs = ()
     assert wrong == []
 
 
@@ -395,6 +434,20 @@ def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
     bad.write_text(json.dumps(raw))
     with pytest.raises(CatalogError):
         load_catalog(str(bad))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read catalog"), ("{surfaces:", "is not valid JSON")],
+    ids=["missing", "invalid-json"],
+)
+def test_catalog_loader_names_an_unusable_file(content, message, tmp_path):
+    path = tmp_path / "catalog.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(CatalogError, match=message) as err:
+        load_catalog(str(path))
+    assert str(path) in str(err.value)
 
 
 def test_catalog_override_path(tmp_path):
