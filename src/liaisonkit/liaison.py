@@ -250,6 +250,32 @@ validate_rewitness_table()
 
 _COEFF_BOX = 60
 
+# Heights and twists of the any-direction search.
+_HEIGHTS = (-3, -2, -1, 1, 2, 3)
+_TWISTS = (1, 2, 3, 4)
+
+
+def _fresh(move):
+    """The heights and twists, in search order, whose targets from a state
+    S reached by ``move`` from P are neither P nor a target P offered:
+    C + hH and mH - K - C compose to shifts and links of P (see
+    :func:`screened_moves`)."""
+    kind, x = move
+    if kind == BILIAISON:  # S = P + xH
+        heights = [h for h in _HEIGHTS if x + h not in (0, *_HEIGHTS)]
+        twists = [m for m in _TWISTS if m - x not in _TWISTS]
+    else:  # S = xH - K - P
+        heights = [h for h in _HEIGHTS if x + h not in _TWISTS]
+        twists = [m for m in _TWISTS if m - x not in (0, *_HEIGHTS)]
+    return tuple(heights), tuple(twists)
+
+
+# any-direction moves by the move that reached the state; None for roots
+_FRESH_MOVES = {None: (_HEIGHTS, _TWISTS)} | {
+    move: _fresh(move)
+    for move in [(BILIAISON, h) for h in _HEIGHTS] + [(G_LINK, m) for m in _TWISTS]
+}
+
 
 def _default_surfaces(catalog_path: str | None = None) -> list[str]:
     catalog = load_catalog(catalog_path)
@@ -306,16 +332,30 @@ def screened_moves(
     inv,
     ascending_only: bool,
     degree_cap: int,
+    via=None,
 ):
     """The ``(move, (surface_id, coeffs))`` pairs of the search from the
     class with coefficients ``c`` and invariants ``inv`` (see
-    :meth:`~liaisonkit.surfaces.ScreenRows.invariants`) on ``surface``.
+    :meth:`~liaisonkit.surfaces.ScreenRows.invariants`) on ``surface``,
+    reached by the move ``via`` (``None`` for a root or a table hop).
 
     Biliaisons C + hH come first (heights 1.. up to the degree cap when
     ``ascending_only``, otherwise -3..3 without 0), then Gorenstein links
     mH - K - C for m in 1..4 (not when ``ascending_only``).  A candidate
     is kept when its degree lies in [1, degree_cap], its coefficients in
     the box, and it passes :func:`is_effective_candidate`.
+
+    A move whose target the parent P of the state S already offered, or
+    which returns to P, is left out.  With S = P + hH, the biliaison h'
+    reaches P + (h + h')H and the link m' reaches (m' - h)H - K - P; with
+    S = mH - K - P, the biliaison h' reaches (m + h')H - K - P and the link
+    m' reaches P + (m' - m)H.  So after a biliaison h the heights h' with
+    |h + h'| <= 3 and the twists with 1 <= m' - h <= 4 go, after a link m
+    the heights with 1 <= m + h' <= 4 and every twist go, and when
+    ``ascending_only`` a state reached by a biliaison has no moves, since
+    P offered every height under the cap.  The screen reads the target
+    class only, so a left-out target is P, was kept from P, or fails the
+    screen from either.
 
     Only the box needs the candidate's coefficients; the rest reads
     ``inv = (deg, C^2, C.K, p_min, k_max)`` with p_min = min_L L.C and
@@ -332,9 +372,12 @@ def screened_moves(
     hh = rows.hh
     deg, _, _, p_min, k_max = inv
     if ascending_only:
+        if via is not None:
+            return
         heights = range(1, (degree_cap - deg) // hh + 1)
+        twists = ()
     else:
-        heights = (-3, -2, -1, 1, 2, 3)
+        heights, twists = _FRESH_MOVES[via]
     H = surface.H.coeffs
     for h in heights:
         if not 1 <= deg + h * hh <= degree_cap:
@@ -345,10 +388,8 @@ def screened_moves(
         if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
             continue
         yield (BILIAISON, h), (surface.id, cand)
-    if ascending_only:
-        return
     K = surface.K.coeffs
-    for m in range(1, 5):
+    for m in twists:
         if not 1 <= m * hh - rows.hk - deg <= degree_cap:
             continue
         if k_max is not None and m < k_max:
@@ -401,6 +442,16 @@ def ascending_chain_search(
     its per-line table) and every other state derives them from its
     parent by :func:`moved_invariants`, so screening a move and matching
     a (d, g) target take a few integer operations, with no dot product.
+
+    A state passes the move that reached it to :func:`screened_moves`,
+    which leaves out the moves whose targets its parent P already
+    offered or which return to P; roots and hop targets get every move.
+    By induction over the levels every target P offered is in ``parent``
+    once P's level is expanded, and the screen reads the target class
+    only, so a left-out move reaches a state already seen or one the
+    screen drops.  ``expand`` ignores both, and the parent links, the
+    chain, ``explored`` and ``frontier_sizes`` are those of the full
+    move lists.
     """
     if max_steps < 1:
         raise LiaisonkitError("max_steps must be >= 1")
@@ -537,7 +588,11 @@ def ascending_chain_search(
 
     def moves(state):
         sid, c = state
-        return screened_moves(models[sid], rows[sid], c, inv[state], ascending_only, degree_cap)
+        link = parent[state]
+        via = None if link is None or link[1][0] == REWITNESS else link[1]
+        return screened_moves(
+            models[sid], rows[sid], c, inv[state], ascending_only, degree_cap, via
+        )
 
     def rewitness(state):
         # every state of one (d, g) has the same targets, so one pass closes

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .errors import (
     CatalogError,
+    InvalidClassError,
     UnknownSurfaceError,
     UnsupportedSurfaceError,
 )
@@ -88,18 +89,67 @@ def _canonical_for(basis: str, rank: int) -> DivisorClass:
     return DivisorClass.blownup((-3,) + (-1,) * (rank - 1))
 
 
-def _parse_record(rec: dict) -> SurfaceModel:
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# field: (test, what the test wants); blown_points is required on
+# blownup_plane records only
+_REQUIRED_FIELDS = {
+    "id": (lambda v: isinstance(v, str), "a string"),
+    "ambient": (lambda v: isinstance(v, str), "a string"),
+    "basis": (lambda v: v in (BLOWNUP_PLANE, QUADRIC), f"{BLOWNUP_PLANE!r} or {QUADRIC!r}"),
+    "H": (_is_int_list, "a list of integers"),
+    "K": (_is_int_list, "a list of integers"),
+    "degree": (_is_int, "an integer"),
+    "sectional_genus": (_is_int, "an integer"),
+}
+_OPTIONAL_FIELDS = {
+    "blown_points": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "family_dim": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "special_position_notes": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+}
+
+
+def _check_fields(rec, where: str) -> None:
+    """Raise :class:`CatalogError` naming ``where`` unless ``rec`` is an
+    object with every required field, each field of its type."""
+    if not isinstance(rec, dict):
+        raise CatalogError(f"{where}: a surface record must be an object, got {rec!r}")
+    required = list(_REQUIRED_FIELDS)
+    if rec.get("basis") == BLOWNUP_PLANE:
+        required.append("blown_points")
+    for name in required:
+        if name not in rec:
+            raise CatalogError(f"{where}: missing field {name!r}")
+    for name, (ok, wanted) in (_REQUIRED_FIELDS | _OPTIONAL_FIELDS).items():
+        if name in rec and not ok(rec[name]):
+            raise CatalogError(f"{where}: field {name!r} must be {wanted}, got {rec[name]!r}")
+
+
+def _parse_record(rec: dict, where: str) -> SurfaceModel:
+    _check_fields(rec, where)
     basis = rec["basis"]
-    H = DivisorClass(basis, tuple(rec["H"]))
-    K = DivisorClass(basis, tuple(rec["K"]))
+    try:
+        H = DivisorClass(basis, tuple(rec["H"]))
+        K = DivisorClass(basis, tuple(rec["K"]))
+    except InvalidClassError as exc:
+        raise CatalogError(f"{where} ({rec['id']}): {exc}") from exc
     expected_K = _canonical_for(basis, len(H.coeffs))
     if K != expected_K:
-        raise CatalogError(f"{rec['id']}: canonical class {K} != {expected_K}")
+        raise CatalogError(f"{where} ({rec['id']}): canonical class {K} != {expected_K}")
     if basis == BLOWNUP_PLANE:
         n = rec["blown_points"]
         if n != len(H.coeffs) - 1:
             raise CatalogError(
-                f"{rec['id']}: blown_points {n} inconsistent with H length"
+                f"{where} ({rec['id']}): blown_points {n} inconsistent with H length"
             )
     else:
         n = None
@@ -117,15 +167,15 @@ def _parse_record(rec: dict) -> SurfaceModel:
     )
     deg = self_intersection(H)
     if deg != model.degree:
-        raise CatalogError(f"{rec['id']}: stored degree {model.degree}, H.H = {deg}")
+        raise CatalogError(f"{where} ({rec['id']}): stored degree {model.degree}, H.H = {deg}")
     sg = arithmetic_genus(H, model)
     if sg != model.sectional_genus:
         raise CatalogError(
-            f"{rec['id']}: stored sectional genus {model.sectional_genus}, "
+            f"{where} ({rec['id']}): stored sectional genus {model.sectional_genus}, "
             f"recomputed {sg}"
         )
     if model.family_dim is None and model.ambient == "P4":
-        raise CatalogError(f"{rec['id']}: P4 surfaces need a family dimension")
+        raise CatalogError(f"{where} ({rec['id']}): P4 surfaces need a family dimension")
     return model
 
 
@@ -137,9 +187,10 @@ def _default_catalog_text() -> str:
 def load_catalog(path: str | None = None) -> dict[str, SurfaceModel]:
     """Load and validate the surface catalog.
 
-    ``path`` overrides the packaged data file; a file that cannot be read
-    or is not JSON raises :class:`CatalogError` naming it.  The result is
-    cached and immutable; concurrent reads are unrestricted.
+    ``path`` overrides the packaged data file; a file that cannot be read,
+    is not JSON, or lacks a field or has one of the wrong type raises
+    :class:`CatalogError` naming it.  The result is cached and immutable;
+    concurrent reads are unrestricted.
     """
     if path is None:
         text = _default_catalog_text()
@@ -152,11 +203,18 @@ def load_catalog(path: str | None = None) -> dict[str, SurfaceModel]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"catalog {path or '(packaged)'} is not valid JSON: {exc}") from exc
+    where = f"catalog {path or '(packaged)'}"
+    if not isinstance(raw, dict):
+        raise CatalogError(f"{where}: top level must be an object, got {type(raw).__name__}")
+    if "surfaces" not in raw:
+        raise CatalogError(f"{where}: missing field 'surfaces'")
+    if not isinstance(raw["surfaces"], list):
+        raise CatalogError(f"{where}: field 'surfaces' must be a list")
     catalog: dict[str, SurfaceModel] = {}
-    for rec in raw["surfaces"]:
-        model = _parse_record(rec)
+    for i, rec in enumerate(raw["surfaces"]):
+        model = _parse_record(rec, f"{where}, surface {i}")
         if model.id in catalog:
-            raise CatalogError(f"duplicate surface id {model.id!r}")
+            raise CatalogError(f"{where}: duplicate surface id {model.id!r}")
         catalog[model.id] = model
     return catalog
 

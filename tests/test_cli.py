@@ -138,8 +138,15 @@ def test_chain_search_on_alternate_catalog(scroll_catalog, capsys):
         ("missing.json", None, "cannot read catalog"),
         ("bad.json", b"{surfaces:", "is not valid JSON"),
         ("binary.json", b"\xff\xfe", "cannot read catalog"),
+        ("empty.json", b"{}", "missing field 'surfaces'"),
+        ("list.json", b"[1]", "top level must be an object"),
+        ("bare.json", b'{"surfaces":[{"id":"x"}]}', "surface 0: missing field"),
+        ("h-text.json", b'{"surfaces":[{"id":"x","ambient":"P4","basis":"quadric",'
+         b'"H":"1,1","K":[-2,-2],"degree":2,"sectional_genus":0}]}',
+         "field 'H' must be a list of integers"),
     ],
-    ids=["missing", "invalid-json", "not-utf8"],
+    ids=["missing", "invalid-json", "not-utf8", "no-surfaces", "not-an-object",
+         "no-fields", "mistyped-field"],
 )
 def test_bad_catalog_file_exits_2(argv, name, content, message, tmp_path, capsys):
     catalog = tmp_path / name

@@ -318,14 +318,23 @@ def test_search_is_invariant_under_input_order():
         for line in lines_on(s).classes
     ]
     rng = random.Random(46)
-    for target in [(10, 9), (10, 6), (8, 5)]:
-        baseline = ascending_chain_search(target, max_steps=5)
+    cases = [(target, True, 5) for target in [(10, 9), (10, 6), (8, 5)]]
+    # any-direction moves depend on the move that reached a state; (9, 2) fails
+    cases += [(target, False, 4) for target in [(9, 7), (8, 5), (7, 3), (9, 2)]]
+    for target, ascending_only, max_steps in cases:
+        baseline = ascending_chain_search(
+            target, ascending_only=ascending_only, max_steps=max_steps
+        )
         for _ in range(2):
             perm_surfaces, perm_starts = surfaces[:], starts[:]
             rng.shuffle(perm_surfaces)
             rng.shuffle(perm_starts)
             again = ascending_chain_search(
-                target, surfaces=perm_surfaces, starts=perm_starts, max_steps=5
+                target,
+                surfaces=perm_surfaces,
+                starts=perm_starts,
+                ascending_only=ascending_only,
+                max_steps=max_steps,
             )
             assert again == baseline
 
@@ -381,6 +390,23 @@ def test_chain_search_oracle():
         assert got == expected, key
 
 
+def test_pruned_search_equals_the_unpruned_one(monkeypatch):
+    """Leaving out the moves a state's parent already offered changes no
+    result, not even the counts of a failure."""
+    inputs = [json.loads(key) for key in json.loads(CHAIN_ORACLE.read_text())["table"]]
+    pruned = [ascending_chain_search(tuple(dg), ascending_only=a) for dg, a in inputs]
+    full_moves = liaison.screened_moves
+    monkeypatch.setattr(
+        liaison, "screened_moves", lambda *args, via=None: full_moves(*args)
+    )
+    unpruned = [ascending_chain_search(tuple(dg), ascending_only=a) for dg, a in inputs]
+    assert len(inputs) == 83
+    assert sum(not r.found for r in pruned) > 0
+    for inp, a, b in zip(inputs, pruned, unpruned):
+        # SearchFailure equality compares explored and frontier_sizes too
+        assert a == b, inp
+
+
 def _class_invariants(surface, C):
     """(C.H, C^2, C.K, min_L L.C, max_L (L.K + L.C)) by intersect on the class."""
     lines = lines_on(surface).classes if surface.basis == "blownup_plane" else ()
@@ -432,6 +458,75 @@ def test_screened_moves_match_the_class_screen():
     # every filter decided some candidates on its own
     assert rejected["degree"] and rejected["box"]
     assert rejected[BILIAISON, "blownup_plane"] and rejected[G_LINK, "blownup_plane"]
+
+
+def _candidates(surface, C, ascending_only, cap):
+    """Every move the search could try from C, with its target class."""
+    if ascending_only:
+        heights, twists = range(1, (cap - degree(C, surface)) // surface.degree + 1), ()
+    else:
+        heights, twists = (-3, -2, -1, 1, 2, 3), (1, 2, 3, 4)
+    return [((BILIAISON, h), C + h * surface.H) for h in heights] + [
+        ((G_LINK, m), m * surface.H - surface.K - C) for m in twists
+    ]
+
+
+def _passes_class_screen(surface, cls, cap):
+    return (
+        1 <= degree(cls, surface) <= cap
+        and all(abs(x) <= 60 for x in cls.coeffs)
+        and is_effective_candidate(surface, cls)
+    )
+
+
+def test_moves_skipped_after_a_move_were_offered_by_the_parent():
+    """From S = mu(P), screened_moves(S, via=mu) is an in-order sub-list
+    of the full list, and every move it leaves out reaches P, a target
+    of P's full list, or a class the screen drops."""
+    rng = random.Random(50)
+    cap = 40
+    skipped = Counter()
+    for surface in P4_SURFACES + [get_surface("quadric_p3")]:
+        rows = screen_rows(surface)
+        for _ in range(12):
+            spread = rng.choice((3, 8, 62))
+            c = tuple(rng.randint(-spread, spread) for _ in surface.H.coeffs)
+            P = DivisorClass(surface.basis, c)
+            for ascending_only in (True, False):
+                offered = {
+                    target
+                    for _, target in screened_moves(
+                        surface, rows, c, rows.invariants(c), ascending_only, cap
+                    )
+                }
+                vias = [(BILIAISON, h) for h in (1, 2, 3)]
+                if not ascending_only:
+                    vias += [(BILIAISON, h) for h in (-3, -2, -1)]
+                    vias += [(G_LINK, m) for m in (1, 2, 3, 4)]
+                for via in vias:
+                    kind, x = via
+                    S = P + x * surface.H if kind == BILIAISON else x * surface.H - surface.K - P
+                    inv = rows.invariants(S.coeffs)
+                    args = (surface, rows, S.coeffs, inv, ascending_only, cap)
+                    full = list(screened_moves(*args))
+                    kept = list(screened_moves(*args, via=via))
+                    rest = iter(full)
+                    assert all(pair in rest for pair in kept), (surface.id, c, via)
+                    for move, T in _candidates(surface, S, ascending_only, cap):
+                        target = (surface.id, T.coeffs)
+                        if (move, target) in kept:
+                            continue
+                        if T == P:
+                            skipped["parent"] += 1
+                        elif target in offered:
+                            skipped["offered"] += 1
+                        else:
+                            assert not _passes_class_screen(surface, T, cap), (
+                                surface.id, c, via, move
+                            )
+                            skipped["screened", ascending_only] += 1
+    assert skipped["parent"] and skipped["offered"]
+    assert skipped["screened", True] and skipped["screened", False]
 
 
 BLOWNUP_SURFACES = [s for s in load_catalog().values() if s.basis == "blownup_plane"]

@@ -438,8 +438,25 @@ def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
 
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "cannot read catalog"), ("{surfaces:", "is not valid JSON")],
-    ids=["missing", "invalid-json"],
+    [
+        (None, "cannot read catalog"),
+        ("{surfaces:", "is not valid JSON"),
+        ('{"surfaces": 5}', "field 'surfaces' must be a list"),
+        ('{"surfaces": [3]}', "surface 0: a surface record must be an object"),
+        ('{"surfaces": [{"id": "x", "ambient": "P4"}]}', "missing field 'basis'"),
+        (
+            '{"surfaces": [{"id": "x", "ambient": "P4", "basis": "quadric", "H": [1, 1], '
+            '"K": [-2, -2], "degree": 2, "sectional_genus": 0, "family_dim": "9"}]}',
+            "field 'family_dim' must be an integer or null",
+        ),
+        (
+            '{"surfaces": [{"id": "x", "ambient": "P4", "basis": "blownup_plane", '
+            '"blown_points": 1, "H": [], "K": [-3, -1], "degree": 3, "sectional_genus": 0}]}',
+            "surface 0 \\(x\\): blownup_plane classes need",
+        ),
+    ],
+    ids=["missing", "invalid-json", "surfaces-not-a-list", "record-not-an-object",
+         "no-basis", "mistyped-optional-field", "empty-H"],
 )
 def test_catalog_loader_names_an_unusable_file(content, message, tmp_path):
     path = tmp_path / "catalog.json"
