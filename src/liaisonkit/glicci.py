@@ -6,15 +6,21 @@ the current configuration through an enumerated Gorenstein h-vector and
 must land on another generic configuration (the default admissibility
 rule; a permissive rule accepts any valid residual).  Chains are always
 re-validated step by step before being returned.
+
+Three process-global caches, filled on first use and never cleared,
+serve every chain: the Gorenstein tables (``_gorenstein_h_vectors``),
+the move lists of each point count and mass cap (``_moves``) and the
+generic h-vectors (``_generic``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import comb
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import LiaisonkitError, LinkageError
 from .hvectors import (
@@ -93,6 +99,12 @@ def _saturation(codim: int, socle_bound: int) -> int:
     (140 for (3, 12), 49 for (2, 12))."""
     half = [comb(i + codim - 1, codim - 1) for i in range(socle_bound // 2 + 1)]
     return 2 * sum(half) - (half[-1] if socle_bound % 2 == 0 else 0)
+
+
+def _mass_cap(codim: int, max_mass: int, socle_bound: int) -> int:
+    """Cap of the cached table that serves ``max_mass``: the next power of
+    two at or above it, or the saturation when that is smaller."""
+    return min(1 << (max_mass - 1).bit_length(), _saturation(codim, socle_bound))
 
 
 class _Node:
@@ -180,9 +192,77 @@ def ag_candidates_containing(
             if v >= zi and child.lo <= max_mass:
                 walk(child, i + 1)
 
-    cap = min(1 << (max_mass - 1).bit_length(), _saturation(z.ambient_codim, socle_bound))
+    cap = _mass_cap(z.ambient_codim, max_mass, socle_bound)
     walk(_gorenstein_h_vectors(z.ambient_codim, cap, socle_bound), 0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _generic(m: int, ambient: str, surface_degree: int | None) -> HVector:
+    """The generic h-vector of m points, built once per process."""
+    return generic_points_h_vector(m, ambient, surface_degree=surface_degree)
+
+
+@lru_cache(maxsize=None)
+def _moves(
+    m: int, ambient: str, surface_degree: int | None, socle_bound: int, cap: int
+) -> tuple[tuple[HVector, int], ...]:
+    """(w, m2) link moves from the m-point generic configuration to
+    generic m2 points through a linking scheme w of mass <= ``cap``, by
+    ascending m2, keeping the lexicographically first w per target.  On a
+    surface the linking scheme must also fit under the constrained growth
+    caps.  A configuration above ``cap`` has no moves.
+
+    Each candidate is screened by its target count first: the residual
+    r(i) = w(i) - z(s - i), i = 0..s, has mass m2 = mass(w) - m exactly,
+    because len(w) >= len(z) (w contains z) puts every entry of z in the
+    sum.  So the range and new-target checks run on m2 before r is
+    formed.  A survivor is screened by r itself: with trailing zeros
+    trimmed it must be the generic vector of m2 points, and only a w that
+    passes is handed to ``link_h_vector``.  The screen rejects no move
+    that ``link_h_vector`` would accept: w is Gorenstein (the table is
+    built so) and contains z (``ag_candidates_containing`` checked it), so
+    the link succeeds exactly when r is nonnegative, starts with 1 and is
+    an O-sequence, and then returns r.  A generic vector has all three
+    properties, so the link lands on generic m2 points iff r equals that
+    vector, and the first w per target is the one a full
+    ``link_h_vector`` scan would keep.
+
+    A chain capped at ``max_intermediate`` reads the prefix with
+    m2 <= max_intermediate - m of the list for ``_mass_cap`` of that cap.
+    That prefix equals a scan capped at ``max_intermediate``: w has mass
+    m + m2, so the mass cap is a cap on m2, and the candidates of one m2
+    come in the same lexicographic order from either table."""
+    if m > cap:
+        # ag_candidates_containing would raise; every w is lighter than z
+        return ()
+    z = _generic(m, ambient, surface_degree)
+    if surface_degree is not None:
+        envelope = growth_envelope(socle_bound + 2, ambient, surface_degree)
+    else:
+        envelope = None
+    ze = z.entries
+    rz = ze[::-1]
+    targets: dict[int, HVector] = {}
+    for w in ag_candidates_containing(z, cap, socle_bound):
+        m2 = w.mass - m
+        if m2 < 1 or m2 in targets:
+            continue
+        we = w.entries
+        if envelope is not None and any(v > envelope[i] for i, v in enumerate(we)):
+            continue
+        # z(s - i) for i = 0..s: z reversed, zero-padded to len(w)
+        r = tuple(map(sub, we, (0,) * (len(we) - len(ze)) + rz))
+        g = _generic(m2, ambient, surface_degree).entries
+        if r[: len(g)] != g or any(r[len(g) :]):
+            continue
+        try:
+            res = link_h_vector(z, w)
+        except LinkageError:
+            continue
+        if res.entries == g:
+            targets[m2] = w
+    return tuple((w, m2) for m2, w in sorted(targets.items()))
 
 
 @dataclass(frozen=True)
@@ -266,7 +346,7 @@ def glicci_chain(
     if n < 1:
         raise LiaisonkitError("need at least one point")
     _check_socle_bound(socle_bound)
-    _ambient_codim(ambient, surface_degree)
+    codim = _ambient_codim(ambient, surface_degree)
     if mode not in ("full", "descending_only"):
         raise LiaisonkitError(f"unknown mode {mode!r}")
     descending = mode == "descending_only"
@@ -280,63 +360,14 @@ def glicci_chain(
             "every chain passes through the n points"
         )
 
-    generic: dict[int, HVector] = {}
-
-    def generator(m):
-        if m not in generic:
-            generic[m] = generic_points_h_vector(m, ambient, surface_degree=surface_degree)
-        return generic[m]
-
-    if surface_degree is not None:
-        envelope = growth_envelope(socle_bound + 2, ambient, surface_degree)
-    else:
-        envelope = None
+    cap = _mass_cap(codim, max_intermediate, socle_bound)
 
     def moves(m):
-        """(w, m_next) link moves from the m-point generic configuration,
-        by ascending m_next, keeping the lexicographically first w per
-        target.  With an ``envelope`` the linking scheme must fit under
-        the constrained growth caps (points on a fixed surface).
-
-        Each candidate is screened by its target count first: the residual
-        r(i) = w(i) - z(s - i), i = 0..s, has mass m2 = mass(w) - m
-        exactly, because len(w) >= len(z) (w contains z) puts every entry
-        of z in the sum.  So the range, new-target and descending checks
-        run on m2 before r is formed.  A survivor is screened by r itself:
-        with trailing zeros trimmed it must be the generic vector of m2
-        points, and only a w that passes is handed to ``link_h_vector``.
-        The screen rejects no move that ``link_h_vector`` would accept: w
-        is Gorenstein (the table is built so) and contains z
-        (``ag_candidates_containing`` checked it), so the link succeeds
-        exactly when r is nonnegative, starts with 1 and is an O-sequence,
-        and then returns r.  A generic vector has all three properties, so
-        the link lands on generic m2 points iff r equals that vector, and
-        the first w per target is the one a full ``link_h_vector`` scan
-        would keep."""
-        z = generator(m)
-        ze = z.entries
-        rz = ze[::-1]
-        top = m - 1 if descending else max_intermediate
-        targets: dict[int, HVector] = {}
-        for w in ag_candidates_containing(z, max_intermediate, socle_bound):
-            m2 = w.mass - m
-            if m2 < 1 or m2 > top or m2 in targets:
-                continue
-            we = w.entries
-            if envelope is not None and any(v > envelope[i] for i, v in enumerate(we)):
-                continue
-            # z(s - i) for i = 0..s: z reversed, zero-padded to len(w)
-            r = tuple(map(sub, we, (0,) * (len(we) - len(ze)) + rz))
-            g = generator(m2).entries
-            if r[: len(g)] != g or any(r[len(g) :]):
-                continue
-            try:
-                res = link_h_vector(z, w)
-            except LinkageError:
-                continue
-            if res.entries == g:
-                targets[m2] = w
-        return [(w, m2) for m2, w in sorted(targets.items())]
+        """The cached moves from m points whose target fits the bounds
+        of this chain (see ``_moves`` for why a prefix suffices)."""
+        table = _moves(m, ambient, surface_degree, socle_bound, cap)
+        top = min(max_intermediate - m, m - 1) if descending else max_intermediate - m
+        return table[: bisect_right(table, top, key=itemgetter(1))]
 
     # links are involutions, so the goal side walks the same moves
     parent_a = {n: None}
@@ -375,6 +406,7 @@ def glicci_chain(
     left, right = path_to(parent_a, meet), path_to(parent_b, meet)
     seq = [m for _, m in left] + [m for _, m in reversed(right[:-1])]
     links = tuple(w for w, _ in left[1:]) + tuple(w for w, _ in reversed(right[1:]))
-    chain = PointChain(states=tuple(generator(m) for m in seq), links=links)
+    states = tuple(_generic(m, ambient, surface_degree) for m in seq)
+    chain = PointChain(states=states, links=links)
     chain.validate()
     return chain

@@ -3,6 +3,7 @@ exhaustive oracle, step re-validation, and pinned chains."""
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ from liaisonkit.errors import LiaisonkitError, LinkageError
 from liaisonkit.glicci import (
     PointChain,
     _build_gorenstein_h_vectors,
+    _generic,
     _gorenstein_h_vectors,
+    _moves,
     _saturation,
     ag_candidates_containing,
     glicci_chain,
@@ -112,6 +115,12 @@ def test_mass_filtered_table_equals_a_capped_build():
                 assert got == [w for w in full if w.mass <= max_mass]
 
 
+def _clear_glicci_caches():
+    _gorenstein_h_vectors.cache_clear()
+    _moves.cache_clear()
+    _generic.cache_clear()
+
+
 def test_candidate_source_contract(monkeypatch):
     # bench/tracer.py counts candidates by rebinding the module attribute
     # glicci.ag_candidates_containing, reads _gorenstein_h_vectors'
@@ -123,12 +132,55 @@ def test_candidate_source_contract(monkeypatch):
         return ag_candidates_containing(*args, **kwargs)
 
     monkeypatch.setattr(glicci, "ag_candidates_containing", counted)
-    _gorenstein_h_vectors.cache_clear()
+    # cold caches: move lists cached by an earlier test would skip the walk
+    _clear_glicci_caches()
     assert _gorenstein_h_vectors.cache_info().currsize == 0
     assert isinstance(glicci_chain(10), PointChain)
     assert calls
     info = _gorenstein_h_vectors.cache_info()
     assert info.misses >= 1 and info.hits >= 1
+    # a second chain reads the cached move lists and walks no table
+    calls.clear()
+    hits = _moves.cache_info().hits
+    assert isinstance(glicci_chain(10), PointChain)
+    assert calls == []
+    assert _moves.cache_info().hits > hits
+
+
+def test_warm_move_cache_equals_cold():
+    # every glicci cache cleared before each call, against one warm pass in
+    # shuffled order: a cached move list must not depend on which chain,
+    # mode or max_intermediate built it
+    inputs = [
+        (n, kwargs, socle_bound, max_intermediate)
+        for kwargs in (
+            {"ambient": "P2"},
+            {"ambient": "P3"},
+            {"ambient": "P3", "mode": "descending_only"},
+            {"ambient": "P3", "surface_degree": 2},
+            {"ambient": "P3", "surface_degree": 3},
+        )
+        for socle_bound in (6, 12, 20)
+        for n in (*range(1, 13), 16, 20, 24, 30)
+        for max_intermediate in (None, n, n + 3, 2 * n)
+    ]
+
+    def run(inp):
+        n, kwargs, socle_bound, max_intermediate = inp
+        return repr(
+            glicci_chain(n, socle_bound=socle_bound, max_intermediate=max_intermediate, **kwargs)
+        )
+
+    cold = []
+    for inp in inputs:
+        _clear_glicci_caches()
+        cold.append(run(inp))
+    order = random.Random(16).sample(range(len(inputs)), len(inputs))
+    _clear_glicci_caches()
+    warm = {i: run(inputs[i]) for i in order}
+    assert [warm[i] for i in range(len(inputs))] == cold
+    assert any("SearchFailure" in r for r in cold)
+    assert any("PointChain" in r for r in cold)
 
 
 def _brute_force_glicci_reachable(n, max_mass, socle_bound=6, max_depth=4):
