@@ -80,6 +80,7 @@ def _build_gorenstein_h_vectors(
 
     for s in range(0, socle_bound + 1):
         extend([1], [1], s)
+    del extend  # a cycle through its own cell: free it now, not at a gc run
     return tuple(sorted(found, key=lambda h: h.entries))
 
 
@@ -194,6 +195,7 @@ def ag_candidates_containing(
 
     cap = _mass_cap(z.ambient_codim, max_mass, socle_bound)
     walk(_gorenstein_h_vectors(z.ambient_codim, cap, socle_bound), 0)
+    del walk  # a cycle through its own cell: free it now, not at a gc run
     return out
 
 

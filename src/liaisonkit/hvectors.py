@@ -328,4 +328,5 @@ def acm_h_vector_candidates(d: int, g: int) -> tuple[tuple[int, ...], ...]:
 
     if d >= 4:
         rec([1, 3], 4, 0)
+    del rec  # a cycle through its own cell: free it now, not at a gc run
     return tuple(sorted(results))

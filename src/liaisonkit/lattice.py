@@ -16,7 +16,9 @@ rounded.  Everything here is a pure function over immutable values.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import BasisMismatchError, InvalidClassError
 
@@ -107,21 +109,22 @@ _set_basis = DivisorClass.basis.__set__
 _set_coeffs = DivisorClass.coeffs.__set__
 
 
-def _prechecked_class(basis: str, coeffs: tuple[int, ...]) -> DivisorClass:
-    """The class ``DivisorClass(basis, coeffs)``, built without
-    ``__post_init__``.
+def _prechecked_classes(basis: str, tuples: list[tuple[int, ...]]) -> list[DivisorClass]:
+    """The classes ``DivisorClass(basis, c)`` for each ``c`` in ``tuples``,
+    built without ``__post_init__``: one allocation pass and one pass per
+    slot, each run in C.
 
-    Precondition: ``coeffs`` is a tuple of exact ints, taken (possibly
+    Precondition: every ``c`` is a tuple of exact ints, taken (possibly
     reordered) from a class of the lattice ``basis`` that the checking
     constructor already built, so every check would pass again.
 
-    >>> _prechecked_class(BLOWNUP_PLANE, (1, 0)) == DivisorClass.blownup((1, 0))
+    >>> _prechecked_classes(BLOWNUP_PLANE, [(1, 0)]) == [DivisorClass.blownup((1, 0))]
     True
     """
-    c = _new(DivisorClass)
-    _set_basis(c, basis)
-    _set_coeffs(c, coeffs)
-    return c
+    classes = list(map(_new, repeat(DivisorClass, len(tuples))))
+    deque(map(_set_basis, classes, repeat(basis)), 0)
+    deque(map(_set_coeffs, classes, tuples), 0)
+    return classes
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:

@@ -9,7 +9,6 @@ class convention) and fails loudly on the first violation.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -28,7 +27,7 @@ from .lattice import (
     BLOWNUP_PLANE,
     QUADRIC,
     DivisorClass,
-    _prechecked_class,
+    _prechecked_classes,
     arithmetic_genus,
     degree,
     intersect,
@@ -255,11 +254,11 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
 # This is the stabilizer of H in the Weyl group (Dolgachev, Classical
 # Algebraic Geometry, ch. 8; Manin, Cubic Forms).  Callers that test only
 # invariants iterate class_representatives; enumerate_classes expands
-# every orbit into its distinct permutations.  Only the representatives
-# go through the checking DivisorClass constructor: an orbit member
-# inherits its representative's checks, because a permutation within
-# blocks keeps the length of the coefficient tuple and moves the same
-# int objects, so every check would pass again.
+# every orbit from the distinct orderings of each block's entries.  Only
+# the representatives go through the checking DivisorClass constructor:
+# an orbit member inherits its representative's checks, because a
+# permutation within blocks keeps the length of the coefficient tuple and
+# moves the same int objects, so every check would pass again.
 #
 # Block-order lower bound.  Suppose positions i..n-1 all carry one
 # weight w (always so for i = n - 1).  They lie in one set of
@@ -352,72 +351,69 @@ def _b_solver(weights):
                 acc.pop()
 
         rec(0, wsum, 0 if psum is None else psum, sq_hi, [])
+        del rec  # a cycle through its own cell: free it now, not at a gc run
         return out
 
     return solutions
 
 
-def _multiset_permutations(values):
-    """Each distinct ordering of the multiset ``values`` once, in
-    lexicographic order (Narayana's next-permutation step).
+def _removals(ms):
+    """``(v, ms less one v)`` for each distinct v of the sorted ``ms``, in order."""
+    for i, v in enumerate(ms):
+        if not i or v != ms[i - 1]:
+            yield v, ms[:i] + ms[i + 1 :]
 
-    >>> list(_multiset_permutations((1, 0, 1)))
-    [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
-    """
-    p = sorted(values)
-    n = len(p)
-    while True:
-        yield tuple(p)
-        i = n - 2
-        while i >= 0 and p[i] >= p[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while p[j] <= p[i]:
-            j -= 1
-        p[i], p[j] = p[j], p[i]
-        p[i + 1 :] = reversed(p[i + 1 :])
+
+def _orderings(ms, memo):
+    """Each distinct ordering of the sorted tuple ``ms`` once, sorted: for
+    each distinct value v in increasing order, ``(v,)`` followed by the
+    orderings of the rest.  ``memo`` maps the multisets done to their lists."""
+    if len(ms) < 2:
+        return [ms]
+    got = memo.get(ms)
+    if got is None:
+        got = memo[ms] = []
+        for v, rest in _removals(ms):
+            got += map((v,).__add__, _orderings(rest, memo))
+    return got
 
 
 def _orbit_tuples(reps, rank, blocks):
     """Every distinct tuple in the orbits of the coefficient tuples
     ``reps``, sorted: the entries permuted within each block of
     positions (``blocks`` is nonempty and holds no position 0, so
-    ``rank >= 3``).
+    ``rank >= 3`` and ``place`` returns a tuple).
 
-    An orbit depends only on which entries of each block are equal.  So
-    the representatives are grouped by a key that maps every block
-    position to the first position of its block holding the same value.
-    Each distinct arrangement of a key's source positions becomes one
-    ``itemgetter`` over the coefficients, built once for the whole group;
-    an output tuple is one getter call, and with ``rank >= 3`` a getter
-    always returns a tuple.  Each getter maps over its whole group in C.
+    An orbit is the fixed entries followed by every distinct ordering of
+    each block in turn; ``place`` moves them to their positions unless the
+    blocks already follow the fixed positions.  The top two levels of a
+    block are emitted onto the prefix and only shorter tails are memoized,
+    for this call only, so the memo stays small beside the output.
+    Unmoved orbits come out as sorted runs, which the final sort merges.
     An output tuple has its representative's length and int entries, so
     it inherits the checks of the representative's class.
 
     >>> _orbit_tuples([(5, 2, 7, 0), (1, 3, 0, 3)], 4, [(1, 3)])
     [(1, 3, 0, 3), (5, 0, 7, 2), (5, 2, 7, 0)]
     """
-    moved = [p for block in blocks for p in block]
-    fixed = tuple(p for p in range(rank) if p not in moved)
-    # puts the entries of fixed + moved at the positions they stand for
-    place = itemgetter(*sorted(range(rank), key=[*fixed, *moved].__getitem__))
-    groups = {}
-    for coeffs in reps:
-        key = []
-        for block in blocks:
-            values = [coeffs[p] for p in block]
-            key.append(tuple(block[values.index(v)] for v in values))
-        groups.setdefault(tuple(key), []).append(coeffs)
+    fixed = [p for p in range(rank) if all(p not in block for block in blocks)]
+    order = fixed + [p for block in blocks for p in block]
+    # puts the entries of fixed + blocks at the positions they stand for
+    place = itemgetter(*sorted(range(rank), key=order.__getitem__))
+    aligned = order == sorted(order)
+    memo = {}
     out = []
-    for key, group in groups.items():
-        getters = [
-            itemgetter(*place(fixed + sum(sources, ())))
-            for sources in itertools.product(*map(_multiset_permutations, key))
-        ]
-        for get in getters:
-            out += map(get, group)
+    for coeffs in reps:
+        heads = [tuple(map(coeffs.__getitem__, fixed))]
+        for block in blocks:
+            ms = tuple(sorted(map(coeffs.__getitem__, block)))
+            longer = []
+            for head in heads:
+                for v, rest in _removals(ms):
+                    for u, tail in _removals(rest):
+                        longer += map((head + (v, u)).__add__, _orderings(tail, memo))
+            heads = longer
+        out += heads if aligned else map(place, heads)
     out.sort()
     return out
 
@@ -517,10 +513,8 @@ def enumerate_classes(
     (sorted coefficient tuples).
 
     Only the representatives are built through the checking
-    :class:`DivisorClass` constructor.  The other orbit members permute
-    a representative's coefficients within blocks, which keeps the tuple
-    length and the exact int entries, so they inherit its checks and are
-    built without a second one.
+    :class:`DivisorClass` constructor; the other orbit members inherit
+    their checks and are built in bulk without a second one.
     """
     reps = class_representatives(surface, deg, genus, self_ints, min_self)
     blocks = [tuple(i + 1 for i in b) for b in _weight_blocks(surface.H.coeffs[1:])]
@@ -528,7 +522,7 @@ def enumerate_classes(
         # no two points share a weight (the quadric too): orbits are single classes
         return reps
     expanded = _orbit_tuples([c.coeffs for c in reps], len(surface.H.coeffs), blocks)
-    return list(map(_prechecked_class, itertools.repeat(BLOWNUP_PLANE), expanded))
+    return _prechecked_classes(BLOWNUP_PLANE, expanded)
 
 
 @lru_cache(maxsize=None)

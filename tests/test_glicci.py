@@ -1,6 +1,7 @@
 """Point-configuration link chains: candidate enumeration, the small-n
 exhaustive oracle, step re-validation, and pinned chains."""
 
+import gc
 import itertools
 import json
 import random
@@ -22,11 +23,13 @@ from liaisonkit.glicci import (
 )
 from liaisonkit.hvectors import (
     HVector,
+    acm_h_vector_candidates,
     generic_points_h_vector,
     is_gorenstein_h_vector,
     link_h_vector,
 )
 from liaisonkit.search import SearchFailure
+from liaisonkit.surfaces import enumerate_classes, get_surface
 
 
 def test_ag_candidates_basic():
@@ -145,6 +148,23 @@ def test_candidate_source_contract(monkeypatch):
     assert isinstance(glicci_chain(10), PointChain)
     assert calls == []
     assert _moves.cache_info().hits > hits
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # a self-recursive closure reaches itself through its own cell, so each
+    # call would leave a cycle for the collector; cold glicci caches make
+    # glicci_chain build its tables and walk them, and the unwrapped
+    # acm_h_vector_candidates runs its search whatever the cache holds
+    _clear_glicci_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_classes(get_surface("castelnuovo_5"), 8)
+        glicci_chain(30)
+        acm_h_vector_candidates.__wrapped__(19, 27)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_warm_move_cache_equals_cold():

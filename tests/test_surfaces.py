@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from liaisonkit.errors import CatalogError, UnknownSurfaceError, UnsupportedSurf
 from liaisonkit.lattice import DivisorClass, arithmetic_genus, intersect, self_intersection
 from liaisonkit.surfaces import (
     _b_solver,
+    _orbit_tuples,
     class_representatives,
     conic_classes,
     enumerate_classes,
@@ -251,8 +253,8 @@ def test_quadric_enumeration_matches_brute_force():
 
 @pytest.mark.parametrize("sid", ["plane_p2", "cubic_scroll"])
 def test_enumeration_without_equal_weights_matches_brute_force(sid):
-    # no two points share a weight, so every orbit is a single class;
-    # plane_p2 has rank 1, where a one-index itemgetter returns a scalar.
+    # no two points share a weight, so every orbit is a single class and
+    # enumerate_classes returns the representatives; plane_p2 has rank 1.
     # On the scroll (a; b) has degree 2a - b and C^2 >= -3 forces
     # (3a - 2d)^2 <= d^2 + 9, so for d <= 6 the box holds every class.
     surface = get_surface(sid)
@@ -312,15 +314,79 @@ def test_b_solver_matches_an_unpruned_box(weights):
                 assert solve(wsum, psum, sq_lo, sq_hi) == want, (wsum, psum, sq_lo, sq_hi)
 
 
-def test_two_block_orbits_match_brute_force():
+def _brute_orbits(reps, rank, blocks):
+    """Every distinct tuple reached from ``reps`` by permuting the entries
+    within each block, sorted: a product of itertools.permutations."""
+    found = set()
+    for coeffs in reps:
+        per_block = [itertools.permutations([coeffs[p] for p in b]) for b in blocks]
+        for perms in itertools.product(*per_block):
+            t = list(coeffs)
+            for block, perm in zip(blocks, perms):
+                for p, v in zip(block, perm):
+                    t[p] = v
+            found.add(tuple(t))
+    return sorted(found)
+
+
+def _random_orbit_case(rng):
+    """A rank, one to three blocks of positions 1..rank-1 (in any order,
+    possibly interleaved, the rest fixed) and distinct orbit
+    representatives in shuffled order, whose block entries often repeat."""
+    rank = rng.randint(3, 7)
+    labels = {p: rng.randrange(4) for p in range(1, rank)}
+    blocks = [tuple(p for p in labels if labels[p] == k) for k in range(1, 4)]
+    blocks = [b for b in blocks if len(b) > 1]
+    rng.shuffle(blocks)
+    if not blocks:
+        blocks = [tuple(range(1, rank))]
+    top = rng.choice((0, 1, 3))
+    reps = set()
+    for _ in range(rng.randint(1, 6)):
+        t = [rng.randint(-5, 5) for _ in range(rank)]
+        for block in blocks:
+            for p, v in zip(block, sorted((rng.randint(-top, top) for _ in block), reverse=True)):
+                t[p] = v
+        reps.add(tuple(t))
+    reps = list(reps)
+    rng.shuffle(reps)
+    return reps, rank, blocks
+
+
+def test_orbit_tuples_match_brute_force_permutations():
+    # all-equal blocks (orbit of one), all-distinct blocks (every
+    # permutation), two blocks in and out of order, then random cases
+    cases = [
+        ([(5, 2, 7, 0), (1, 3, 0, 3)], 4, [(1, 3)]),
+        ([(1, 2, 2, 2, 2), (0, -1, -1, -1, -1)], 5, [(1, 2, 3, 4)]),
+        ([(0, 4, 3, 2, 1, -1)], 6, [(1, 2, 3, 4, 5)]),
+        ([(2, 5, 0, 1, 1, 0, 4)], 7, [(1, 3, 4, 5, 6)]),
+        ([(6, 2, 1, 1, 0, 0), (6, 1, 1, 2, 2, 0)], 6, [(1, 2), (3, 4, 5)]),
+        ([(6, 2, 1, 1, 0, 0), (6, 1, 1, 2, 2, 0)], 6, [(3, 4, 5), (1, 2)]),
+        ([(6, 2, 1, 1, 0, 0), (6, 1, 2, 1, 2, 0)], 6, [(1, 3), (2, 4, 5)]),
+    ]
+    rng = random.Random(23)
+    cases += [_random_orbit_case(rng) for _ in range(300)]
+    for reps, rank, blocks in cases:
+        assert _orbit_tuples(reps, rank, blocks) == _brute_orbits(reps, rank, blocks), (
+            reps, rank, blocks,
+        )
+
+
+def _two_block_surface():
     # no catalog surface has two blocks of equal weight; H = (6; 2,2,1,1,1)
-    # does, so every orbit is a product over the blocks {1,2} and {3,4,5}.
+    # does, with blocks {1,2} and {3,4,5}
+    dp = get_surface("del_pezzo_4")
+    return dataclasses.replace(dp, H=B((6, 2, 2, 1, 1, 1)), degree=25, sectional_genus=8)
+
+
+def test_two_block_orbits_match_brute_force():
+    # every orbit of the two-block surface is a product over its blocks.
     # With |h|^2 = 11 and H^2 = 25 the bound above reads
     # 25 a^2 - 12 a d + d^2 + 11 c <= 0, which for d <= 6 and c >= -3
     # keeps a in -1..2, and then sum(b_i^2) <= a^2 - c <= 7 keeps every b_i
     # in -2..2, so the box holds every class.
-    dp = get_surface("del_pezzo_4")
-    two = dataclasses.replace(dp, H=B((6, 2, 2, 1, 1, 1)), degree=25, sectional_genus=8)
+    two = _two_block_surface()
     degrees = range(0, 7)
     box = [(-2, 5)] + [(-3, 3)] * 5
     both = 0
@@ -342,13 +408,21 @@ def test_two_block_orbits_match_brute_force():
 
 def test_enumeration_follows_a_permuted_catalog():
     # equal weights need not be adjacent: moving castelnuovo's weight-2
-    # point between the weight-1 points permutes every class the same way
-    c5 = get_surface("castelnuovo_5")
-    order = (0, 2, 3, 4, 1, 5, 6, 7, 8)
-    moved = dataclasses.replace(c5, H=B(tuple(c5.H.coeffs[i] for i in order)))
-    for d in range(6):
-        want = sorted(tuple(c.coeffs[i] for i in order) for c in enumerate_classes(c5, d, min_self=-1))
-        assert [c.coeffs for c in enumerate_classes(moved, d, min_self=-1)] == want
+    # point between the weight-1 points, or interleaving the two blocks of
+    # (6; 2,2,1,1,1) as (6; 2,1,2,1,1), permutes every class and every
+    # representative the same way
+    for surface, order in [
+        (get_surface("castelnuovo_5"), (0, 2, 3, 4, 1, 5, 6, 7, 8)),
+        (_two_block_surface(), (0, 1, 3, 2, 4, 5)),
+    ]:
+        moved = dataclasses.replace(surface, H=B(tuple(surface.H.coeffs[i] for i in order)))
+        for d in range(6):
+            for genus in (None, 0, 1):
+                for listing in (enumerate_classes, class_representatives):
+                    got = listing(moved, d, genus=genus, min_self=-1)
+                    want = listing(surface, d, genus=genus, min_self=-1)
+                    want = sorted(tuple(c.coeffs[i] for i in order) for c in want)
+                    assert [c.coeffs for c in got] == want, (moved.H, d, genus, listing)
 
 
 def test_castelnuovo_degree_9_orbits():
