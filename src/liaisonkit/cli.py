@@ -26,7 +26,8 @@ EXIT_INVALID = 2
 
 def parse_coeffs(text: str) -> tuple[int, ...]:
     """Parse ``5;3,1,1,1,1`` or ``5,3,1^4`` or ``0;0^9,-1`` into a tuple.
-    A caret expands repeats: ``1^4`` is four ones; a count below 1 is refused."""
+    A caret expands repeats: ``1^4`` is four ones; a count below 1 and a
+    coefficient that is not an integer are refused."""
     text = text.strip().replace("(", "").replace(")", "")
     text = text.replace(";", ",")
     out: list[int] = []
@@ -41,7 +42,10 @@ def parse_coeffs(text: str) -> tuple[int, ...]:
             repeats = 0
         if repeats < 1:
             raise InvalidInvocationError(f"repeat count in {part!r} must be an integer >= 1")
-        out.extend([int(val)] * repeats)
+        try:
+            out.extend([int(val)] * repeats)
+        except ValueError:
+            raise InvalidInvocationError(f"coefficient {val!r} must be an integer") from None
     if not out:
         raise InvalidInvocationError(f"empty coefficient list {text!r}")
     return tuple(out)

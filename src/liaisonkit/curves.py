@@ -2,7 +2,8 @@
 curve constructors.
 
 A :class:`CurveRecord` stores exact degree and arithmetic genus, an
-optional divisor-class witness, and a symbolic Rao tag.  A witness
+optional divisor-class witness, and a symbolic Rao tag; it keeps no
+record of how it was built (a liaison chain's steps do).  A witness
 carries its :class:`SurfaceModel` itself, not a catalog id, so records on
 surfaces from an alternate catalog work like any other.  Rao tags are
 bookkeeping only: no cohomology is computed, and ``unknown`` is the
@@ -90,17 +91,18 @@ class Witness:
 
 @dataclass(frozen=True)
 class CurveRecord:
-    """Exact (degree, genus) with optional surface witness and provenance.
+    """Exact (degree, genus) with an optional surface witness and a Rao tag.
 
     When a witness is present, degree and genus are recomputed from the
-    lattice on construction and must agree with the stored values.
+    lattice on construction and must agree with the stored values.  A
+    record holds no history: two records are equal when their numbers,
+    witnesses and tags are.
     """
 
     degree: int
     genus: int
     witness: Witness | None = None
     rao: RaoTag = RaoTag()
-    provenance: str = ""
 
     def __post_init__(self):
         if self.witness is not None:
@@ -115,25 +117,18 @@ class CurveRecord:
 
     @classmethod
     def on_surface(
-        cls,
-        surface: SurfaceModel,
-        divisor: DivisorClass,
-        rao: RaoTag = RaoTag(),
-        provenance: str = "",
+        cls, surface: SurfaceModel, divisor: DivisorClass, rao: RaoTag = RaoTag()
     ) -> "CurveRecord":
         return cls(
             degree=degree(divisor, surface),
             genus=arithmetic_genus(divisor, surface),
             witness=Witness(surface, divisor),
             rao=rao,
-            provenance=provenance,
         )
 
     @classmethod
-    def abstract(
-        cls, d: int, g: int, rao: RaoTag = RaoTag(), provenance: str = ""
-    ) -> "CurveRecord":
-        return cls(degree=d, genus=g, witness=None, rao=rao, provenance=provenance)
+    def abstract(cls, d: int, g: int, rao: RaoTag = RaoTag()) -> "CurveRecord":
+        return cls(degree=d, genus=g, witness=None, rao=rao)
 
     @property
     def dg(self) -> tuple[int, int]:
@@ -216,7 +211,6 @@ def disjoint_union(c1: CurveRecord, c2: CurveRecord) -> CurveRecord:
         genus=c1.genus + c2.genus - 1,
         witness=witness,
         rao=RaoTag(),
-        provenance=f"disjoint_union[{c1.provenance or c1.dg}|{c2.provenance or c2.dg}]",
     )
 
 
@@ -224,9 +218,7 @@ def plane_curve(d: int) -> CurveRecord:
     """A plane curve of degree d: genus (d-1)(d-2)/2."""
     if d < 1:
         raise LiaisonkitError("plane curves have degree >= 1")
-    return CurveRecord.abstract(
-        d, (d - 1) * (d - 2) // 2, rao=RaoTag.zero(), provenance=f"plane_curve({d})"
-    )
+    return CurveRecord.abstract(d, (d - 1) * (d - 2) // 2, rao=RaoTag.zero())
 
 
 def minimal_curve_M_k(d: int) -> CurveRecord:
@@ -240,18 +232,17 @@ def minimal_curve_M_k(d: int) -> CurveRecord:
     if d < 2:
         raise LiaisonkitError("minimal curves for module k need degree >= 2")
     g = (d - 2) * (d - 3) // 2 - 1
-    return CurveRecord.abstract(
-        d, g, rao=RaoTag.simple_k(0), provenance=f"minimal_curve_M_k({d})"
-    )
+    return CurveRecord.abstract(d, g, rao=RaoTag.simple_k(0))
 
 
-def lesperance_curve(
+def lesperance_parts(
     kind: str,
     a: int,
     b: int | None = None,
     acm_curve: CurveRecord | None = None,
-) -> CurveRecord:
-    """Reduced minimal curves with Rao module M_a, four shapes:
+) -> tuple[CurveRecord, CurveRecord]:
+    """Components of the reduced minimal curves with Rao module M_a, four
+    shapes:
 
     a) line + plane curve of degree a (planes meeting at a point off the
        curves);
@@ -265,35 +256,35 @@ def lesperance_curve(
     """
     if a < 2:
         raise LiaisonkitError("module parameter a must be >= 2")
-    tag = RaoTag.m_a(a)
-    line = CurveRecord.abstract(1, 0, rao=RaoTag.zero(), provenance="line")
+    line = CurveRecord.abstract(1, 0, rao=RaoTag.zero())
     if kind == "a":
-        parts = (line, plane_curve(a))
-    elif kind == "b":
+        return (line, plane_curve(a))
+    if kind == "b":
         if b is None or b < a:
             raise LiaisonkitError("type b needs a <= b")
-        parts = (plane_curve(a), plane_curve(b))
-    elif kind == "c":
+        return (plane_curve(a), plane_curve(b))
+    if kind == "c":
         if b is None or b < 1:
             raise LiaisonkitError("type c needs b >= 1")
-        parts = (plane_curve(a), plane_curve(b))
-    elif kind == "d":
+        return (plane_curve(a), plane_curve(b))
+    if kind == "d":
         if acm_curve is None:
             raise LiaisonkitError("type d needs the ACM space curve record")
         if b is not None and b != acm_curve.degree:
             raise LiaisonkitError(
                 f"type d: stated degree {b} != ACM curve degree {acm_curve.degree}"
             )
-        parts = (line, acm_curve)
-    else:
-        raise LiaisonkitError(f"unknown minimal-curve type {kind!r}")
-    union = disjoint_union(*parts)
-    return CurveRecord(
-        degree=union.degree,
-        genus=union.genus,
-        witness=None,
-        rao=tag,
-        provenance=f"lesperance_{kind}(a={a}"
-        + (f",b={b}" if b is not None else "")
-        + ")",
-    )
+        return (line, acm_curve)
+    raise LiaisonkitError(f"unknown minimal-curve type {kind!r}")
+
+
+def lesperance_curve(
+    kind: str,
+    a: int,
+    b: int | None = None,
+    acm_curve: CurveRecord | None = None,
+) -> CurveRecord:
+    """The minimal curve with Rao module M_a of shape ``kind``: the disjoint
+    union of :func:`lesperance_parts`, tagged M_a."""
+    union = disjoint_union(*lesperance_parts(kind, a, b, acm_curve))
+    return CurveRecord.abstract(union.degree, union.genus, rao=RaoTag.m_a(a))

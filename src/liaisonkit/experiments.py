@@ -42,6 +42,7 @@ from .curves import (
     disjoint_union,
     k_secant_lines,
     lesperance_curve,
+    lesperance_parts,
     minimal_curve_M_k,
     multisecant_profile,
     plane_pencil_bound,
@@ -154,6 +155,13 @@ def _derived(value, note=""):
 def _numerics(curve: CurveRecord) -> list:
     """Degree, genus and Rao module, as the L'Esperance experiments compare them."""
     return [curve.degree, curve.genus, str(curve.rao)]
+
+
+def _component_degrees(parts) -> tuple[int, ...]:
+    """Sorted degrees of the components of a reduced curve.  They are the
+    same for the general member of an irreducible family of such curves,
+    so two constructions whose lists differ give different families."""
+    return tuple(sorted(p.degree for p in parts))
 
 
 def _ex3_2():
@@ -553,7 +561,7 @@ def _ex4_5():
 
 
 def _prop4_7():
-    twisted_cubic = CurveRecord.abstract(3, 0, rao=RaoTag.zero(), provenance="twisted_cubic")
+    twisted_cubic = CurveRecord.abstract(3, 0, rao=RaoTag.zero())
     a = lesperance_curve("a", 2)
     b = lesperance_curve("b", 2, 2)
     c = lesperance_curve("c", 2, 1)
@@ -569,9 +577,12 @@ def _prop4_7():
 
 
 def _ex4_8():
+    twisted_cubic = CurveRecord.abstract(3, 0, rao=RaoTag.zero())
     two_conics = lesperance_curve("b", 2, 2)
-    line_twisted = lesperance_curve(
-        "d", 2, acm_curve=CurveRecord.abstract(3, 0, rao=RaoTag.zero())
+    line_twisted = lesperance_curve("d", 2, acm_curve=twisted_cubic)
+    # same numerics and module, yet component degrees (2, 2) against (1, 3)
+    distinct = _component_degrees(lesperance_parts("b", 2, 2)) != _component_degrees(
+        lesperance_parts("d", 2, acm_curve=twisted_cubic)
     )
     return "Example 4.8", {
         "two_conics": (_numerics(two_conics), _paper([4, -1, "M_2@0"])),
@@ -580,10 +591,7 @@ def _ex4_8():
             two_conics.dg == line_twisted.dg and two_conics.rao == line_twisted.rao,
             _paper(True, "both minimal with module M_2"),
         ),
-        "distinct_constructions": (
-            two_conics.provenance != line_twisted.provenance,
-            _paper(True, "two irreducible families"),
-        ),
+        "distinct_constructions": (distinct, _paper(True, "two irreducible families")),
     }
 
 

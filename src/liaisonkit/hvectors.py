@@ -69,11 +69,12 @@ def macaulay_bound(a: int, i: int) -> int:
     return out
 
 
-def _growth_ok(seq) -> bool:
+def _growth_failure(seq) -> int | None:
+    """First index j >= 2 with seq[j] > seq[j-1]^<j-1>, or None."""
     for i in range(1, len(seq) - 1):
         if seq[i + 1] > macaulay_bound(seq[i], i):
-            return False
-    return True
+            return i + 1
+    return None
 
 
 def is_O_sequence(h) -> bool:
@@ -87,7 +88,7 @@ def is_O_sequence(h) -> bool:
     seq = tuple(h.entries if isinstance(h, HVector) else h)
     if not seq or seq[0] != 1 or any(x < 0 for x in seq):
         return False
-    return _growth_ok(seq)
+    return _growth_failure(seq) is None
 
 
 def _caps(r: int, surface_degree: int | None):
@@ -209,8 +210,9 @@ def link_h_vector(z: HVector, w: HVector) -> HVector:
         res.pop()
     if not res:
         raise LinkageError("residual is the empty configuration (z equals w)")
-    if res[0] != 1 or not _growth_ok(res):
-        raise LinkageError(f"residual {tuple(res)} is not a valid O-sequence", index=0)
+    bad = 0 if res[0] != 1 else _growth_failure(res)
+    if bad is not None:
+        raise LinkageError(f"residual {tuple(res)} is not a valid O-sequence", index=bad)
     return HVector(tuple(res), ambient_codim=w.ambient_codim)
 
 

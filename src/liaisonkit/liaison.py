@@ -66,7 +66,8 @@ class ChainStep:
 
 @dataclass(frozen=True)
 class Chain:
-    """Ordered liaison moves; the auditable history of a search result."""
+    """Ordered liaison moves; the auditable history of a search result.
+    Consecutive steps share a record: (d, g), witness and Rao tag."""
 
     steps: tuple[ChainStep, ...]
     ascending_only: bool = True
@@ -122,10 +123,7 @@ def elementary_biliaison(curve: CurveRecord, h: int) -> CurveRecord:
     """
     surface = curve.witness_surface()
     return CurveRecord.on_surface(
-        surface,
-        curve.witness.cls + h * surface.H,
-        rao=curve.rao.shifted(h),
-        provenance=f"{curve.provenance}+{h}H" if curve.provenance else f"+{h}H",
+        surface, curve.witness.cls + h * surface.H, rao=curve.rao.shifted(h)
     )
 
 
@@ -149,12 +147,7 @@ def g_link_on_surface(curve: CurveRecord, m: int) -> CurveRecord:
             f"residual of ({curve.degree},{curve.genus}) under m={m} has degree "
             f"{degree(residual, surface)}"
         )
-    return CurveRecord.on_surface(
-        surface,
-        residual,
-        rao=curve.rao.linked(m),
-        provenance=f"g_link(m={m}; D={ag})[{curve.provenance}]",
-    )
+    return CurveRecord.on_surface(surface, residual, rao=curve.rao.linked(m))
 
 
 def ci_link_p3(curve: CurveRecord, f1: int, f2: int) -> CurveRecord:
@@ -174,12 +167,7 @@ def ci_link_p3(curve: CurveRecord, f1: int, f2: int) -> CurveRecord:
     if d2 == 0:
         raise LinkageError("curve fills the complete intersection; empty residual")
     g2 = curve.genus + (f1 + f2 - 4) * (d2 - curve.degree) // 2
-    return CurveRecord.abstract(
-        d2,
-        g2,
-        rao=curve.rao.linked(f1 + f2 - 4),
-        provenance=f"ci_link({f1},{f2})[{curve.provenance}]",
-    )
+    return CurveRecord.abstract(d2, g2, rao=curve.rao.linked(f1 + f2 - 4))
 
 
 def family_dimension(surface: SurfaceModel, cls: DivisorClass) -> int:
@@ -418,9 +406,11 @@ def ascending_chain_search(
     Gorenstein links with twists m in [1, 4]; see
     :func:`screened_moves`), and zero-cost re-witness hops through the
     shipped table.  Starts default to every line class on every allowed
-    surface.  Surface ids resolve in the catalog at ``catalog_path``
-    (the packaged one by default); a table hop is skipped when its class
-    has another (d, g) on that catalog's model.
+    surface, and :class:`~liaisonkit.errors.UnsupportedSurfaceError` is
+    raised when an allowed surface is not a blown-up plane or when none
+    carries a line class.  Surface ids resolve in the catalog at
+    ``catalog_path`` (the packaged one by default); a table hop is skipped
+    when its class has another (d, g) on that catalog's model.
 
     Levels follow the determinism rule of :mod:`liaisonkit.search`, and
     the lowest sorted state that matches the target ends the search.  So
@@ -530,6 +520,11 @@ def ascending_chain_search(
             for line, line_inv in zip(lines_on(surface).classes, rows[sid].line_invariants):
                 seed_tags[(sid, line.coeffs)] = RaoTag.zero()
                 inv[sid, line.coeffs] = line_inv
+        if not seed_tags:
+            raise UnsupportedSurfaceError(
+                f"no line classes on {', '.join(surface_ids)} to seed the "
+                "search, so starts must be given"
+            )
     else:
         for rec in starts:
             if rec.witness is None:
@@ -545,10 +540,7 @@ def ascending_chain_search(
         (_, root), *path = path_to(parent, state)
         surface = models[root[0]]
         record = CurveRecord.on_surface(
-            surface,
-            DivisorClass(surface.basis, root[1]),
-            rao=seed_tags[root],
-            provenance="start",
+            surface, DivisorClass(surface.basis, root[1]), rao=seed_tags[root]
         )
         steps = []
         for (kind, payload), (sid, coeffs) in path:
@@ -561,10 +553,7 @@ def ascending_chain_search(
             else:  # rewitness
                 surface = models[sid]
                 after = CurveRecord.on_surface(
-                    surface,
-                    DivisorClass(surface.basis, coeffs),
-                    rao=record.rao,
-                    provenance=f"{record.provenance}~@{sid}",
+                    surface, DivisorClass(surface.basis, coeffs), rao=record.rao
                 )
                 if after.dg != record.dg:
                     raise LiaisonkitError("rewitness changed (d,g)")

@@ -83,6 +83,15 @@ def test_chain_on_the_quadric_without_start_is_invalid_invocation(surfaces, caps
     assert "--start quadric_p3:1,0" in err
 
 
+def test_chain_on_surfaces_without_lines_is_invalid_invocation(capsys):
+    code = cli.main(["biliaison", "chain", "--target", "4,0", "--surfaces", "plane_p2"])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "no line classes on plane_p2" in captured.err
+    assert "--start SURFACE:COEFFS" in captured.err
+    assert captured.out == ""
+
+
 def test_start_with_wrong_coefficient_count_is_invalid_invocation(capsys):
     code = cli.main(["biliaison", "chain", "--target", "5,0", "--start", "cubic_scroll:1,1,1"])
     assert code == cli.EXIT_INVALID
@@ -103,8 +112,13 @@ def test_start_with_wrong_coefficient_count_is_invalid_invocation(capsys):
             ["divisor", "eval", "del_pezzo_4", "5;3,1^4,1"],
             "coeffs on del_pezzo_4 needs 6 coefficients, got 7",
         ),
+        (["divisor", "eval", "cubic_scroll", "a,b"], "coefficient 'a' must be an integer"),
+        (["divisor", "eval", "cubic_scroll", "1.5,0"], "coefficient '1.5' must be an integer"),
     ],
-    ids=["start-negative-repeat", "zero-repeat", "negative-repeat", "text-repeat", "wrong-count"],
+    ids=[
+        "start-negative-repeat", "zero-repeat", "negative-repeat", "text-repeat", "wrong-count",
+        "text-coefficient", "fractional-coefficient",
+    ],
 )
 def test_bad_class_argument_is_invalid_invocation(argv, message, capsys):
     code = cli.main(argv)

@@ -3,6 +3,7 @@ constructors.  Union genus is checked against Euler-characteristic
 additivity rather than the implementation's own formula."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from liaisonkit.curves import (
     disjoint_union,
     k_secant_lines,
     lesperance_curve,
+    lesperance_parts,
     minimal_curve_M_k,
     multisecant_profile,
     plane_curve,
@@ -181,6 +183,20 @@ def test_lesperance_types():
         lesperance_curve("d", 2)  # ACM curve record required
     with pytest.raises(LiaisonkitError):
         lesperance_curve("d", 2, b=5, acm_curve=CurveRecord.abstract(3, 0))
+
+
+@pytest.mark.parametrize(
+    "kind, a, b, acm_curve",
+    [
+        ("a", 2, None, None),
+        ("b", 2, 3, None),
+        ("c", 3, 1, None),
+        ("d", 2, None, CurveRecord.abstract(3, 0, rao=RaoTag.zero())),
+    ],
+)
+def test_lesperance_curve_is_the_tagged_union_of_its_parts(kind, a, b, acm_curve):
+    union = disjoint_union(*lesperance_parts(kind, a, b, acm_curve))
+    assert lesperance_curve(kind, a, b, acm_curve) == replace(union, rao=RaoTag.m_a(a))
 
 
 def test_rao_shift_after_biliaison():

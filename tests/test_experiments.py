@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 from liaisonkit import experiments
+from liaisonkit.curves import CurveRecord, RaoTag, lesperance_curve, lesperance_parts
 from liaisonkit.experiments import (
     NOT_RECOMPUTED,
     REGISTRY,
     ExperimentReport,
     RefValue,
+    _component_degrees,
     run_experiment,
 )
 
@@ -68,3 +70,15 @@ def test_report_derives_matches_from_rows(monkeypatch):
     restored = ExperimentReport.from_dict(data)
     assert restored == report
     assert restored.matches["disagrees"] is False
+
+
+def test_ex4_8_separates_the_constructions_by_component_degrees():
+    cubic = CurveRecord.abstract(3, 0, rao=RaoTag.zero())
+    # the two records are equal, so only their parts can tell them apart
+    assert lesperance_curve("b", 2, 2) == lesperance_curve("d", 2, acm_curve=cubic)
+    two_conics = _component_degrees(lesperance_parts("b", 2, 2))
+    line_cubic = _component_degrees(lesperance_parts("d", 2, acm_curve=cubic))
+    assert (two_conics, line_cubic) == ((2, 2), (1, 3))
+    # the invariant compares constructions, not calls: b(2, 2) is one family
+    assert _component_degrees(lesperance_parts("b", 2, 2)) == two_conics
+    assert run_experiment("ex4.8").computed["distinct_constructions"] is True

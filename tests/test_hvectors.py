@@ -251,6 +251,14 @@ def test_link_failures_pin_the_index(monkeypatch):
     with pytest.raises(LinkageError, match=r"z\(2\) > w\(2\)") as err:
         link_h_vector(HVector((1, 1, 1)), HVector((1, 1)))
     assert err.value.index == 2
+    # residual (1, 1, 2, 1): entry 2 exceeds 1^<1> = 1, the first break in growth
+    with pytest.raises(LinkageError, match=r"\(1, 1, 2, 1\) is not a valid O-sequence \(at index 2\)") as err:
+        link_h_vector(HVector((1, 1, 1, 1)), HVector((1, 2, 3, 2, 1)))
+    assert err.value.index == 2
+    # residual (0, 1) does not start with 1
+    with pytest.raises(LinkageError, match=r"\(0, 1\) is not a valid O-sequence \(at index 0\)") as err:
+        link_h_vector(HVector((1, 1, 1)), HVector((1, 2, 1)))
+    assert err.value.index == 0
     # a symmetric w that contains z leaves no negative residual entry, so
     # this branch is reached only by a w that skips the Gorenstein check
     monkeypatch.setattr(hvectors, "is_gorenstein_h_vector", lambda h: True)

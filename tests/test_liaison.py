@@ -292,6 +292,9 @@ def test_search_rejects_bad_input():
         ascending_chain_search((5, 0), starts=[CurveRecord.abstract(2, -1)])
     with pytest.raises(UnsupportedSurfaceError, match="quadric_p3 has no default line seeds"):
         ascending_chain_search((3, 0), surfaces=["cubic_scroll", "quadric_p3"])
+    # plane_p2 is a blown-up plane with no blown-up point, so no line class
+    with pytest.raises(UnsupportedSurfaceError, match="no line classes on plane_p2"):
+        ascending_chain_search((4, 0), surfaces=["plane_p2"])
     with pytest.raises(LiaisonkitError, match="del_pezzo_4.*cubic_scroll"):
         ascending_chain_search(
             ("del_pezzo_4", B((5, 3, 1, 1, 1, 1))), surfaces=["cubic_scroll"], max_steps=3
