@@ -12,6 +12,7 @@ shift of a biliaison of height ``m' - m``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     LiaisonkitError,
@@ -388,6 +389,170 @@ def screened_moves(
         yield (G_LINK, m), (surface.id, cand)
 
 
+class _Exploration:
+    """The breadth-first levels of the chain search from one seed set over
+    one set of surface models, in one mode under one degree cap, built one
+    level at a time when a search asks for a deeper one.
+
+    Level 0 is the seeds closed under the table hops; level i + 1 is the
+    states first reached by a move from level i, closed the same way (hop
+    targets are roots).  Every level keeps its size and its lowest sorted
+    state per (d, g); ``parent`` keeps every state seen.  Only the newest
+    level keeps its states and their invariants (deg, C^2, C.K, min_L L.C,
+    max_L (L.K + L.C)), from which the next level is built.
+    """
+
+    def __init__(self, models, ascending_only, degree_cap, seeds):
+        self.models = {s.id: s for s in models}
+        self.rows = {sid: screen_rows(s) for sid, s in self.models.items()}
+        self.ascending_only = ascending_only
+        self.degree_cap = degree_cap
+
+        # the table was checked on the packaged models; keep the hops that
+        # hold on these models
+        self.hops: dict[tuple[int, int], list] = {}
+        self.hop_inv = {}
+        for dg, entries in REWITNESS_TABLE.items():
+            for sid, coeffs in entries:
+                surface = self.models.get(sid)
+                if (
+                    surface is None
+                    or surface.basis != BLOWNUP_PLANE
+                    or len(coeffs) != len(surface.H.coeffs)
+                ):
+                    continue
+                hop = self.rows[sid].invariants(coeffs)
+                if _dg(hop) == dg:
+                    self.hops.setdefault(dg, []).append(((REWITNESS, None), (sid, coeffs)))
+                    self.hop_inv[sid, coeffs] = hop
+
+        # Rao tags matter only at the root; the replay derives the rest.
+        inv = {}
+        if seeds is None:
+            self.seed_tags = {}
+            for sid, surface in self.models.items():
+                if surface.basis != BLOWNUP_PLANE:
+                    raise UnsupportedSurfaceError(
+                        f"{sid} has no default line seeds (lines are enumerated on "
+                        f"blownup_plane lattices only; {sid} is a {surface.basis}), "
+                        "so starts must be given"
+                    )
+                for line, line_inv in zip(
+                    lines_on(surface).classes, self.rows[sid].line_invariants
+                ):
+                    self.seed_tags[sid, line.coeffs] = RaoTag.zero()
+                    inv[sid, line.coeffs] = line_inv
+            if not self.seed_tags:
+                raise UnsupportedSurfaceError(
+                    f"no line classes on {', '.join(self.models)} to seed the "
+                    "search, so starts must be given"
+                )
+        else:
+            self.seed_tags = dict(seeds)
+            inv = {s: self.rows[s[0]].invariants(s[1]) for s in self.seed_tags}
+
+        self.sizes: list[int] = []
+        self.first: list[dict] = []
+        self._add_level(dict.fromkeys(self.seed_tags), sorted(self.seed_tags), inv)
+
+    def _moves(self, state):
+        sid, c = state
+        link = self.parent[state]
+        via = None if link is None or link[1][0] == REWITNESS else link[1]
+        return screened_moves(
+            self.models[sid],
+            self.rows[sid],
+            c,
+            self._inv[state],
+            self.ascending_only,
+            self.degree_cap,
+            via,
+        )
+
+    def _add_level(self, parent, new, inv):
+        # every state of one (d, g) has the same hops, so one pass closes
+        hopped = expand(new, parent, lambda s: self.hops.get(_dg(inv[s]), ()))
+        inv.update((s, self.hop_inv[s]) for s in hopped)
+        frontier = sorted(new + hopped)
+        first = {}
+        for s in frontier:
+            first.setdefault(_dg(inv[s]), s)
+        self.parent, self._frontier, self._inv = parent, frontier, inv
+        self.sizes.append(len(frontier))
+        self.first.append(first)
+
+    def _grow(self):
+        # build into a copy, so an interrupted build leaves the shared
+        # exploration as it was
+        parent = self.parent.copy()
+        new = expand(self._frontier, parent, self._moves)
+        inv = {
+            s: moved_invariants(self.rows[s[0]], self._inv[parent[s][0]], parent[s][1])
+            for s in new
+        }
+        self._add_level(parent, new, inv)
+
+    def size(self, level: int) -> int:
+        """The number of states of ``level``, built if needed."""
+        while len(self.sizes) <= level:
+            self._grow()
+        return self.sizes[level]
+
+    def level_of(self, state) -> int | None:
+        """The level of a seen state, the number of liaison moves on its
+        path; ``None`` for a state not seen yet."""
+        if state not in self.parent:
+            return None
+        return sum(
+            move is not None and move[0] != REWITNESS
+            for move, _ in path_to(self.parent, state)
+        )
+
+    def replay(self, state):
+        """The steps from the root of ``state`` to it, rebuilt on divisor
+        classes and certified, and the last record."""
+        (_, root), *path = path_to(self.parent, state)
+        surface = self.models[root[0]]
+        record = CurveRecord.on_surface(
+            surface, DivisorClass(surface.basis, root[1]), rao=self.seed_tags[root]
+        )
+        steps = []
+        for (kind, payload), (sid, coeffs) in path:
+            if kind == BILIAISON:
+                after = elementary_biliaison(record, payload)
+                step = ChainStep(BILIAISON, before=record, after=after, h=payload)
+            elif kind == G_LINK:
+                after = g_link_on_surface(record, payload)
+                step = ChainStep(G_LINK, before=record, after=after, m=payload)
+            else:  # rewitness
+                surface = self.models[sid]
+                after = CurveRecord.on_surface(
+                    surface, DivisorClass(surface.basis, coeffs), rao=record.rao
+                )
+                if after.dg != record.dg:
+                    raise LiaisonkitError("rewitness changed (d,g)")
+                step = ChainStep(REWITNESS, before=record, after=after)
+            if kind != REWITNESS and not is_effective_candidate(
+                after.witness.surface, after.witness.cls
+            ):
+                raise LiaisonkitError(
+                    f"replayed {kind} result {after.witness.cls} on {sid} "
+                    "fails the effectivity screen"
+                )
+            steps.append(step)
+            record = after
+        return steps, record
+
+
+@lru_cache(maxsize=None)
+def _exploration(models, ascending_only, degree_cap, seeds) -> _Exploration:
+    """The exploration shared by every search with these inputs in this
+    process: ``models`` is a tuple of surface models sorted by id, and
+    ``seeds`` is ``None`` for the default line seeds or the sorted
+    ``((surface_id, coeffs), RaoTag)`` pairs of the starts."""
+    return _Exploration(models, ascending_only, degree_cap, seeds)
+
+
 def ascending_chain_search(
     target,
     surfaces=None,
@@ -398,8 +563,11 @@ def ascending_chain_search(
 ):
     """Breadth-first search for a liaison chain reaching ``target``.
 
-    ``target`` is a (degree, genus) pair, or a (surface_id, DivisorClass)
-    pair for an exact class on one of ``surfaces``.  States are
+    ``target`` is a (degree, genus) pair of ints, or a (surface_id,
+    DivisorClass) pair for an exact class on one of ``surfaces``; any
+    other value raises :class:`~liaisonkit.errors.LiaisonkitError`, as do
+    a ``surfaces`` given as one string and a ``max_steps`` that is not an
+    int >= 1.  Repeated surface ids count once.  States are
     (surface_id, coefficient tuple) pairs, which sort like the classes
     they stand for; moves are elementary biliaisons (heights >= 1 when
     ``ascending_only``, otherwise nonzero heights in [-3, 3] plus
@@ -425,13 +593,23 @@ def ascending_chain_search(
     degree < 1, which no curve has, raises
     :class:`~liaisonkit.errors.LiaisonkitError`.
 
-    Each state of the level being expanded and of the level being built
-    carries its invariants (deg, C^2, C.K, min_L L.C, max_L (L.K + L.C)).
-    Roots compute them from the dual rows of
-    :func:`~liaisonkit.surfaces.screen_rows` (the default line seeds read
-    its per-line table) and every other state derives them from its
-    parent by :func:`moved_invariants`, so screening a move and matching
-    a (d, g) target take a few integer operations, with no dot product.
+    The levels do not depend on the target: a move is kept by the screen
+    and the degree cap alone, so the target only picks the level where the
+    walk stops (the lowest sorted state of its (d, g), or its own state
+    for a class target), and ``max_steps`` how many levels are read.  So
+    the levels are built once per process for each key (the allowed
+    surface models, ``ascending_only``, the degree cap, and the seeds with
+    their Rao tags), kept for the life of the process, and grown one level
+    at a time when a search needs a deeper one.  The degree cap is the
+    target degree d, or d + 2 max H^2 for an any-direction search.  Every
+    call replays and certifies its own chain.
+
+    Each state of the newest level carries its invariants (deg, C^2, C.K,
+    min_L L.C, max_L (L.K + L.C)).  Roots compute them from the dual rows
+    of :func:`~liaisonkit.surfaces.screen_rows` (the default line seeds
+    read its per-line table) and every other state derives them from its
+    parent by :func:`moved_invariants`, so screening a move and finding a
+    level's (d, g) take a few integer operations, with no dot product.
 
     A state passes the move that reached it to :func:`screened_moves`,
     which leaves out the moves whose targets its parent P already
@@ -443,24 +621,26 @@ def ascending_chain_search(
     chain, ``explored`` and ``frontier_sizes`` are those of the full
     move lists.
     """
-    if max_steps < 1:
-        raise LiaisonkitError("max_steps must be >= 1")
+    if type(max_steps) is not int or max_steps < 1:
+        raise LiaisonkitError(f"max_steps must be an int >= 1, got {max_steps!r}")
+    if isinstance(surfaces, str):
+        raise LiaisonkitError(
+            f"surfaces must be a list of surface ids, got the string {surfaces!r}"
+        )
     surface_ids = (
-        sorted(surfaces) if surfaces is not None else _default_surfaces(catalog_path)
+        sorted(set(surfaces)) if surfaces is not None else _default_surfaces(catalog_path)
     )
     if not surface_ids:
         raise LiaisonkitError("empty surface set")
     if starts is not None and not starts:
         raise LiaisonkitError("empty start set")
     models = {sid: get_surface(sid, catalog_path) for sid in surface_ids}
-    rows = {sid: screen_rows(s) for sid, s in models.items()}
 
-    if isinstance(target, tuple) and len(target) == 2 and all(
-        isinstance(x, int) for x in target
-    ):
+    pair = isinstance(target, tuple) and len(target) == 2
+    if pair and all(type(x) is int for x in target):
         target_dg = target
         target_state = None
-    else:
+    elif pair and isinstance(target[1], DivisorClass):
         sid, cls = target
         if sid not in models:
             raise LiaisonkitError(
@@ -468,6 +648,11 @@ def ascending_chain_search(
             )
         target_dg = (degree(cls, models[sid]), None)
         target_state = (sid, cls.coeffs)
+    else:
+        raise LiaisonkitError(
+            "target must be (degree, genus) as ints or (surface_id, DivisorClass), "
+            f"got {target!r}"
+        )
     if target_dg[0] < 1:
         raise LiaisonkitError(
             f"target degree {target_dg[0]} < 1: no curve has degree below 1"
@@ -477,145 +662,41 @@ def ascending_chain_search(
         s.degree for s in models.values()
     )
 
-    # invariants of the states of the level being expanded and the level
-    # being built; older levels drop theirs
-    inv: dict = {}
-
-    def state_dg(state):
-        return _dg(inv[state])
-
-    def first_match(states):
-        if target_state is not None:
-            return target_state if target_state in states else None
-        return next((s for s in states if state_dg(s) == target_dg), None)
-
-    # the table was checked on the packaged models; keep the hops that
-    # hold on this search's models
-    hops: dict[tuple[int, int], list] = {}
-    hop_inv = {}
-    for dg, entries in REWITNESS_TABLE.items():
-        for sid, coeffs in entries:
-            surface = models.get(sid)
-            if (
-                surface is None
-                or surface.basis != BLOWNUP_PLANE
-                or len(coeffs) != len(surface.H.coeffs)
-            ):
-                continue
-            hop = rows[sid].invariants(coeffs)
-            if _dg(hop) == dg:
-                hops.setdefault(dg, []).append(((REWITNESS, None), (sid, coeffs)))
-                hop_inv[sid, coeffs] = hop
-
-    # Rao tags matter only at the root; the replay in finish derives the rest.
-    seed_tags = {}
-    if starts is None:
-        for sid, surface in models.items():
-            if surface.basis != BLOWNUP_PLANE:
-                raise UnsupportedSurfaceError(
-                    f"{sid} has no default line seeds (lines are enumerated on "
-                    f"blownup_plane lattices only; {sid} is a {surface.basis}), "
-                    "so starts must be given"
-                )
-            for line, line_inv in zip(lines_on(surface).classes, rows[sid].line_invariants):
-                seed_tags[(sid, line.coeffs)] = RaoTag.zero()
-                inv[sid, line.coeffs] = line_inv
-        if not seed_tags:
-            raise UnsupportedSurfaceError(
-                f"no line classes on {', '.join(surface_ids)} to seed the "
-                "search, so starts must be given"
-            )
-    else:
+    seeds = None
+    if starts is not None:
+        tags = {}
         for rec in starts:
             if rec.witness is None:
                 raise MissingWitnessError("search seeds need witnessed curves")
             surface = rec.witness.surface
             if models.get(surface.id) != surface:
                 raise LiaisonkitError(f"seed surface {surface.id} not in the allowed set")
-            state = (surface.id, rec.witness.cls.coeffs)
-            seed_tags.setdefault(state, rec.rao)
-            inv[state] = rows[surface.id].invariants(state[1])
+            tags.setdefault((surface.id, rec.witness.cls.coeffs), rec.rao)
+        seeds = tuple(sorted(tags.items()))
 
-    def finish(state):
-        (_, root), *path = path_to(parent, state)
-        surface = models[root[0]]
-        record = CurveRecord.on_surface(
-            surface, DivisorClass(surface.basis, root[1]), rao=seed_tags[root]
-        )
-        steps = []
-        for (kind, payload), (sid, coeffs) in path:
-            if kind == BILIAISON:
-                after = elementary_biliaison(record, payload)
-                step = ChainStep(BILIAISON, before=record, after=after, h=payload)
-            elif kind == G_LINK:
-                after = g_link_on_surface(record, payload)
-                step = ChainStep(G_LINK, before=record, after=after, m=payload)
-            else:  # rewitness
-                surface = models[sid]
-                after = CurveRecord.on_surface(
-                    surface, DivisorClass(surface.basis, coeffs), rao=record.rao
-                )
-                if after.dg != record.dg:
-                    raise LiaisonkitError("rewitness changed (d,g)")
-                step = ChainStep(REWITNESS, before=record, after=after)
-            if kind != REWITNESS and not is_effective_candidate(
-                after.witness.surface, after.witness.cls
-            ):
-                raise LiaisonkitError(
-                    f"replayed {kind} result {after.witness.cls} on {sid} "
-                    "fails the effectivity screen"
-                )
-            steps.append(step)
-            record = after
-        if target_state is None:
-            missed = record.dg != target_dg
-        else:
-            missed = (record.witness.surface.id, record.witness.cls.coeffs) != target_state
-        if missed:
-            raise LiaisonkitError(f"replayed chain ends at {record}, not at {target}")
-        return Chain(tuple(steps), ascending_only=ascending_only)
-
-    def moves(state):
-        sid, c = state
-        link = parent[state]
-        via = None if link is None or link[1][0] == REWITNESS else link[1]
-        return screened_moves(
-            models[sid], rows[sid], c, inv[state], ascending_only, degree_cap, via
-        )
-
-    def rewitness(state):
-        # every state of one (d, g) has the same targets, so one pass closes
-        return hops.get(state_dg(state), ())
-
-    def close(states):
-        # a level: its states and the table hops from them, which are roots
-        hopped = expand(states, parent, rewitness)
-        inv.update((s, hop_inv[s]) for s in hopped)
-        return sorted(states + hopped)
-
-    parent = dict.fromkeys(seed_tags)
-    frontier = close(sorted(parent))
-    explored = 0
-    frontier_sizes = [len(frontier)]
-    hit = first_match(frontier)
-    while hit is None and len(frontier_sizes) <= max_steps:
-        explored += len(frontier)
-        new = expand(frontier, parent, moves)
-        inv = {
-            s: moved_invariants(rows[s[0]], inv[parent[s][0]], parent[s][1]) for s in new
-        }
-        frontier = close(new)
-        frontier_sizes.append(len(frontier))
-        if not frontier:
+    exploration = _exploration(tuple(models.values()), ascending_only, degree_cap, seeds)
+    for level in range(max_steps + 1):
+        if not exploration.size(level):
             break
-        hit = first_match(frontier)
-    if hit is not None:
-        return finish(hit)
+        if target_state is None:
+            hit = exploration.first[level].get(target_dg)
+        else:
+            hit = target_state if exploration.level_of(target_state) == level else None
+        if hit is not None:
+            steps, record = exploration.replay(hit)
+            if target_state is None:
+                missed = record.dg != target_dg
+            else:
+                missed = (record.witness.surface.id, record.witness.cls.coeffs) != target_state
+            if missed:
+                raise LiaisonkitError(f"replayed chain ends at {record}, not at {target}")
+            return Chain(tuple(steps), ascending_only=ascending_only)
 
+    frontier_sizes = tuple(exploration.sizes[: level + 1])
     return SearchFailure(
         target=target,
-        explored=explored,
-        frontier_sizes=tuple(frontier_sizes),
+        explored=sum(frontier_sizes[:-1]),
+        frontier_sizes=frontier_sizes,
         bounds={
             "max_steps": max_steps,
             "coeff_box": _COEFF_BOX,

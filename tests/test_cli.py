@@ -183,6 +183,26 @@ def test_failed_chain_search_exits_1(capsys):
     assert json.loads(capsys.readouterr().out)["found"] is False
 
 
+def test_repeated_chain_surfaces_are_listed_once(capsys):
+    code = cli.main(
+        ["biliaison", "chain", "--target", "5,1", "--surfaces", "cubic_scroll,cubic_scroll",
+         "--format", "json"]
+    )
+    assert code == cli.EXIT_MISMATCH
+    assert json.loads(capsys.readouterr().out)["bounds"]["surfaces"] == ["cubic_scroll"]
+
+
+@pytest.mark.parametrize(("surfaces", "message"), [
+    ("cubic_scroll,", "unknown surface ''"),
+    ("cubic_scroll,scroll", "unknown surface 'scroll'"),
+])
+def test_bad_chain_surfaces_exit_2(surfaces, message, capsys):
+    code = cli.main(["biliaison", "chain", "--target", "5,1", "--surfaces", surfaces])
+    assert code == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_glicci_json_output(capsys):
     code = cli.main(["glicci", "--points", "5", "--format", "json"])
     assert code == cli.EXIT_OK

@@ -34,6 +34,7 @@ from liaisonkit.liaison import (
     g_link_on_surface,
     hilbert_dim_lower_bound,
     moved_invariants,
+    _exploration,
     screened_moves,
     validate_rewitness_table,
 )
@@ -299,10 +300,38 @@ def test_search_rejects_bad_input():
         ascending_chain_search(
             ("del_pezzo_4", B((5, 3, 1, 1, 1, 1))), surfaces=["cubic_scroll"], max_steps=3
         )
+    # max_steps is an int >= 1, as the CLI's --max-steps
+    for max_steps in (2.5, "3", True, -1):
+        with pytest.raises(LiaisonkitError, match="max_steps must be an int >= 1"):
+            ascending_chain_search((5, 1), max_steps=max_steps)
+    # surfaces is a collection of ids, never one string
+    with pytest.raises(LiaisonkitError, match="got the string 'cubic_scroll'"):
+        ascending_chain_search((5, 1), surfaces="cubic_scroll")
     # no curve has degree < 1, as a (d, g) or a class target
     for target in [(0, 0), (-2, 1), ("cubic_scroll", B((0, 0))), ("cubic_scroll", B((0, 1)))]:
         with pytest.raises(LiaisonkitError, match="no curve has degree below 1"):
             ascending_chain_search(target, surfaces=["cubic_scroll"])
+
+
+@pytest.mark.parametrize(
+    "target",
+    [(5.0, 1), (5, 1, 2), [5, 1], (True, 0), ("cubic_scroll", (7, 4)), "cubic_scroll", 5],
+    ids=repr,
+)
+def test_malformed_target_names_the_accepted_shapes(target):
+    with pytest.raises(
+        LiaisonkitError,
+        match=r"target must be \(degree, genus\) as ints or \(surface_id, DivisorClass\)",
+    ):
+        ascending_chain_search(target, surfaces=["cubic_scroll"])
+
+
+def test_repeated_surface_ids_count_once():
+    once = ascending_chain_search((5, 1), surfaces=["cubic_scroll"])
+    twice = ascending_chain_search((5, 1), surfaces=["cubic_scroll", "cubic_scroll"])
+    assert not once.found
+    assert twice == once
+    assert twice.bounds["surfaces"] == ("cubic_scroll",)
 
 
 def test_any_direction_failure_counts():
@@ -393,21 +422,100 @@ def test_chain_search_oracle():
         assert got == expected, key
 
 
-def test_pruned_search_equals_the_unpruned_one(monkeypatch):
+@pytest.fixture
+def cold_explorations():
+    """Searches in the test build their levels afresh and leave no cached
+    exploration behind, so one built under a patched move list never
+    reaches another test."""
+    _exploration.cache_clear()
+    yield
+    _exploration.cache_clear()
+
+
+def _oracle_inputs():
+    return [json.loads(key) for key in json.loads(CHAIN_ORACLE.read_text())["table"]]
+
+
+def test_pruned_search_equals_the_unpruned_one(monkeypatch, cold_explorations):
     """Leaving out the moves a state's parent already offered changes no
     result, not even the counts of a failure."""
-    inputs = [json.loads(key) for key in json.loads(CHAIN_ORACLE.read_text())["table"]]
+    inputs = _oracle_inputs()
     pruned = [ascending_chain_search(tuple(dg), ascending_only=a) for dg, a in inputs]
     full_moves = liaison.screened_moves
     monkeypatch.setattr(
         liaison, "screened_moves", lambda *args, via=None: full_moves(*args)
     )
+    # the unpruned pass builds its own levels rather than read the pruned ones
+    _exploration.cache_clear()
     unpruned = [ascending_chain_search(tuple(dg), ascending_only=a) for dg, a in inputs]
+    assert _exploration.cache_info().misses == len({(dg[0], a) for dg, a in inputs})
     assert len(inputs) == 83
     assert sum(not r.found for r in pruned) > 0
     for inp, a, b in zip(inputs, pruned, unpruned):
         # SearchFailure equality compares explored and frontier_sizes too
         assert a == b, inp
+
+
+def test_warm_exploration_equals_cold(cold_explorations):
+    # the cache cleared before each search, against one warm pass in
+    # shuffled order: a level must not depend on the target or max_steps
+    # of the search that built it
+    inputs = _oracle_inputs()
+    cold = []
+    for dg, a in inputs:
+        _exploration.cache_clear()
+        cold.append(ascending_chain_search(tuple(dg), ascending_only=a))
+    order = random.Random(19).sample(range(len(inputs)), len(inputs))
+    _exploration.cache_clear()
+    warm = {}
+    for i in order:
+        dg, a = inputs[i]
+        warm[i] = ascending_chain_search(tuple(dg), ascending_only=a)
+    assert _exploration.cache_info().hits > 0
+    # Chain equality compares every step; SearchFailure equality compares
+    # explored and frontier_sizes too
+    assert [warm[i] for i in range(len(inputs))] == cold
+    assert any(not r.found for r in cold) and any(r.found for r in cold)
+
+
+def test_a_shallow_search_on_a_deeper_exploration(cold_explorations):
+    deep = ascending_chain_search((9, 2), ascending_only=False, max_steps=8)
+    assert deep.frontier_sizes == (42, 272, 123, 7, 0)
+    result = ascending_chain_search((9, 2), ascending_only=False, max_steps=3)
+    assert _exploration.cache_info().hits == 1
+    assert result.explored == 437
+    assert result.frontier_sizes == (42, 272, 123, 7)
+
+
+def test_class_target_ends_at_its_level_on_a_warm_exploration(cold_explorations):
+    # (6;3) on the cubic scroll is a degree-9 class two liaison moves from
+    # a line; (9, 2) fails after building every level of the same key
+    target = ("cubic_scroll", B((6, 3)))
+    cold = {}
+    for max_steps in (1, 2, 8):
+        _exploration.cache_clear()
+        cold[max_steps] = ascending_chain_search(target, ascending_only=False, max_steps=max_steps)
+    _exploration.cache_clear()
+    ascending_chain_search((9, 2), ascending_only=False, max_steps=8)
+    for max_steps, expected in cold.items():
+        assert ascending_chain_search(target, ascending_only=False, max_steps=max_steps) == expected
+    assert _exploration.cache_info().misses == 1
+    assert not cold[1].found and cold[1].frontier_sizes == (42, 272)
+    assert cold[2].liaison_steps == 2 and cold[2] == cold[8]
+
+
+def test_starts_that_differ_in_a_rao_tag_explore_apart(cold_explorations):
+    surfaces = ["cubic_scroll", "bordiga_6"]
+    chains = []
+    for tag in (RaoTag.simple_k(0), RaoTag.simple_k(5)):
+        start = CurveRecord.on_surface(SCROLL, B((2, 2)), rao=tag)
+        chain = ascending_chain_search((11, 7), surfaces=surfaces, starts=[start])
+        assert chain.start.rao == tag
+        assert chain.end.rao == tag.shifted(chain.net_rao_shift)
+        chains.append(chain)
+    assert _exploration.cache_info().misses == 2
+    assert [c.net_rao_shift for c in chains] == [2, 2]
+    assert [c.end.rao for c in chains] == [RaoTag.simple_k(2), RaoTag.simple_k(7)]
 
 
 def _class_invariants(surface, C):
