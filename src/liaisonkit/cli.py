@@ -118,7 +118,7 @@ def _cmd_biliaison_chain(args) -> int:
         raise InvalidInvocationError(
             f"expected --target DEGREE,GENUS, got {args.target!r}"
         ) from None
-    surfaces = args.surfaces.split(",") if args.surfaces else None
+    surfaces = args.surfaces.split(",") if args.surfaces is not None else None
     starts = None
     if args.start:
         sid, sep, coeffs = args.start.partition(":")

@@ -265,9 +265,16 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
 # equal-weight positions, so in a representative b_i is the largest of
 # b_i..b_{n-1} and their sum is at most (n - i) b_i.  With w > 0 the
 # remaining weighted sum rem_w = w * (b_i + .. + b_{n-1}) gives
-# b_i >= ceil(rem_w / (w (n - i))); when sum(b) is pinned, the remaining
-# sum rem_p gives b_i >= ceil(rem_p / (n - i)) for any w.  Both bounds
-# are exact: a smaller b_i has no completion, so no tuple is dropped.
+# b_i >= ceil(rem_w / (w (n - i))).  The bound is exact: a smaller b_i
+# has no completion, so no tuple is dropped.
+#
+# Genus bound.  With K = (-3; -1..-1), adjunction 2g - 2 = L^2 + L.K
+# reads sum(b_i (b_i - 1)) = (a - 1)(a - 2) - 2g, so a pinned genus pins
+# this sum for each a, whatever L^2 is.  Every term b(b - 1) is >= 0, so
+# with R left of the sum each remaining b_i has b_i (b_i - 1) <= R, that
+# is (2 b_i - 1)^2 <= 4R + 1, or 1 - t <= b_i <= t with
+# t = (1 + isqrt(1 + 4R)) // 2.  The bound is exact for the same reason:
+# a b_i outside it leaves R < 0, which no further nonnegative terms undo.
 # ---------------------------------------------------------------------------
 
 
@@ -295,17 +302,20 @@ def _weight_blocks(weights) -> list[tuple[int, ...]]:
 def _b_solver(weights):
     """The representative search for one weights tuple.
 
-    Returns ``solutions(wsum, psum, sq_lo, sq_hi)``: the orbit
+    Returns ``solutions(wsum, tri, sq_lo, sq_hi)``: the orbit
     representatives of the integer tuples b with sum(b_i w_i) = wsum,
-    optional sum(b_i) = psum (``None`` leaves it free), and
+    optional sum(b_i (b_i - 1)) = tri (``None`` leaves it free), and
     sq_lo <= sum(b_i^2) <= sq_hi, in lexicographic order; these are the
     tuples that do not increase along each set of equal-weight positions.
-    Depth-first with exact Cauchy-Schwarz pruning on both running
-    constraints and the block-order lower bound above.  The tables below
-    depend on the weights alone and are built once.
+    Depth-first with exact Cauchy-Schwarz pruning on the weighted sum, the
+    adjunction bound on a pinned ``tri`` and the block-order lower bound
+    above.  The tables below depend on the weights alone and are built
+    once.
 
     >>> _b_solver((1, 1))(2, None, 0, 4)
     [(1, 1), (2, 0)]
+    >>> _b_solver((1, 1))(2, 2, 0, 4)
+    [(2, 0)]
     """
     n = len(weights)
     suffix_wsq = [0] * (n + 1)
@@ -322,35 +332,35 @@ def _b_solver(weights):
             run[i] = n - i
     run_w = [k * w if w > 0 else 0 for k, w in zip(run, weights)]
 
-    def solutions(wsum, psum, sq_lo, sq_hi):
-        if sq_hi < 0:
+    def solutions(wsum, tri, sq_lo, sq_hi):
+        if sq_hi < 0 or (tri is not None and tri < 0):
             return []
         out = []
 
-        def rec(i, rem_w, rem_p, budget, acc):
+        def rec(i, rem_w, rem_t, budget, acc):
             if i == n:
-                if rem_w == 0 and (psum is None or rem_p == 0):
+                if rem_w == 0 and (tri is None or rem_t == 0):
                     used = sq_hi - budget
                     if used >= sq_lo:
                         out.append(tuple(acc))
                 return
             if rem_w * rem_w > budget * suffix_wsq[i]:
                 return
-            if psum is not None and rem_p * rem_p > budget * (n - i):
-                return
             top = math.isqrt(budget)
             hi = top if prev_same[i] is None else min(top, acc[prev_same[i]])
             lo = -top
             if run_w[i]:
                 lo = max(lo, -(-rem_w // run_w[i]))
-            if run[i] and psum is not None:
-                lo = max(lo, -(-rem_p // run[i]))
+            if tri is not None:
+                t = (1 + math.isqrt(1 + 4 * rem_t)) // 2
+                lo = max(lo, 1 - t)
+                hi = min(hi, t)
             for b in range(lo, hi + 1):
                 acc.append(b)
-                rec(i + 1, rem_w - b * weights[i], rem_p - b, budget - b * b, acc)
+                rec(i + 1, rem_w - b * weights[i], rem_t - b * (b - 1), budget - b * b, acc)
                 acc.pop()
 
-        rec(0, wsum, 0 if psum is None else psum, sq_hi, [])
+        rec(0, wsum, 0 if tri is None else tri, sq_hi, [])
         del rec  # a cycle through its own cell: free it now, not at a gc run
         return out
 
@@ -475,22 +485,15 @@ def class_representatives(
     b_solutions = _b_solver(h[1:])
     found = []
     for a in _a_range(surface, deg, min(q_list[0], 0)):
-        wsum = a * h[0] - deg
-        if genus is not None:
-            for q in q_list:
-                sq = a * a - q
-                if sq < 0:
-                    continue
-                # L.K = 2g - 2 - q with K = (-3; -1..-1) pins sum(b_i).
-                psum = 3 * a + (2 * genus - 2 - q)
-                found += [(a,) + b for b in b_solutions(wsum, psum, sq, sq)]
-        else:
-            # one sweep over the whole square-budget window
-            sq_lo = max(a * a - q_list[-1], 0)
-            sq_hi = a * a - q_list[0]
-            for b in b_solutions(wsum, None, sq_lo, sq_hi):
-                if a * a - sum(x * x for x in b) in qset:
-                    found.append((a,) + b)
+        # adjunction with K = (-3; -1..-1): 2g - 2 = L^2 + L.K
+        # = a^2 - 3a - sum(b_i (b_i - 1)), so a genus pins that sum
+        tri = None if genus is None else (a - 1) * (a - 2) - 2 * genus
+        # one sweep over the whole square-budget window
+        sq_lo = max(a * a - q_list[-1], 0)
+        sq_hi = a * a - q_list[0]
+        for b in b_solutions(a * h[0] - deg, tri, sq_lo, sq_hi):
+            if a * a - sum(x * x for x in b) in qset:
+                found.append((a,) + b)
     classes = [DivisorClass.blownup(c) for c in sorted(found)]
     if genus is not None:
         classes = [c for c in classes if arithmetic_genus(c, surface) == genus]

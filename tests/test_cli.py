@@ -193,6 +193,7 @@ def test_repeated_chain_surfaces_are_listed_once(capsys):
 
 
 @pytest.mark.parametrize(("surfaces", "message"), [
+    ("", "unknown surface ''"),
     ("cubic_scroll,", "unknown surface ''"),
     ("cubic_scroll,scroll", "unknown surface 'scroll'"),
 ])

@@ -281,15 +281,16 @@ def test_enumeration_without_equal_weights_matches_brute_force(sid):
 
 def _box_by_wsum(weights, top):
     """Every b in [-top, top]^n that does not increase along each set of
-    equal-weight positions, as (b, sum(b), sum(b_i^2)) grouped by
-    sum(b_i w_i): an unpruned box with no bound of _b_solver's."""
+    equal-weight positions, as (b, sum(b_i (b_i - 1)), sum(b_i^2)) grouped
+    by sum(b_i w_i): an unpruned box with no bound of _b_solver's."""
     same = [(i, j) for i, j in itertools.combinations(range(len(weights)), 2)
             if weights[i] == weights[j]]
     groups = {}
     for b in itertools.product(range(-top, top + 1), repeat=len(weights)):
         if all(b[i] >= b[j] for i, j in same):
             wsum = sum(x * w for x, w in zip(b, weights))
-            groups.setdefault(wsum, []).append((b, sum(b), sum(x * x for x in b)))
+            tri = sum(x * (x - 1) for x in b)
+            groups.setdefault(wsum, []).append((b, tri, sum(x * x for x in b)))
     return groups
 
 
@@ -299,19 +300,20 @@ def _box_by_wsum(weights, top):
 )
 def test_b_solver_matches_an_unpruned_box(weights):
     # (1, 2, 1, 1) splits a block; (1, 0, 0) and (2, -1, -1) end on a run
-    # that only the pinned-sum bound applies to.  A square sum of at most
-    # 16 keeps every entry in [-4, 4].
+    # of weight <= 0, where the block-order bound does not apply.  A
+    # negative tri has no solution.  A square sum of at most 16 keeps every
+    # entry in [-4, 4].
     solve = _b_solver(weights)
     box = _box_by_wsum(weights, 4)
     for sq_lo, sq_hi in [(0, 0), (0, 4), (3, 9), (9, 9), (5, 16), (0, -1)]:
         for wsum in range(-4, 7):
-            for psum in (None, -2, 0, 1, 3):
+            for tri in (None, -2, 0, 2, 6):
                 want = [
                     b
-                    for b, total, sq in box.get(wsum, ())
-                    if (psum is None or total == psum) and sq_lo <= sq <= sq_hi
+                    for b, b_tri, sq in box.get(wsum, ())
+                    if (tri is None or b_tri == tri) and sq_lo <= sq <= sq_hi
                 ]
-                assert solve(wsum, psum, sq_lo, sq_hi) == want, (wsum, psum, sq_lo, sq_hi)
+                assert solve(wsum, tri, sq_lo, sq_hi) == want, (wsum, tri, sq_lo, sq_hi)
 
 
 def _brute_orbits(reps, rank, blocks):
@@ -423,6 +425,35 @@ def test_enumeration_follows_a_permuted_catalog():
                     want = listing(surface, d, genus=genus, min_self=-1)
                     want = sorted(tuple(c.coeffs[i] for i in order) for c in want)
                     assert [c.coeffs for c in got] == want, (moved.H, d, genus, listing)
+
+
+def test_genus_pin_equals_the_floor_list_filtered_by_genus():
+    # a pinned genus pins sum(b_i (b_i - 1)) through adjunction; on every
+    # blown-up-plane catalog surface the pinned list must be the floor list
+    # filtered by arithmetic_genus, so each class it returns has that
+    # genus, and a genus one below or above every listed one returns
+    # nothing.  Full lists stop at degree 6: degrees 7 and 8 hold about
+    # two million classes (some 10 s), all expanded from the
+    # representatives checked here up to degree 8.
+    for sid in surface_ids():
+        surface = get_surface(sid)
+        if surface.basis != "blownup_plane":
+            continue
+        for listing, degrees in ((class_representatives, range(-1, 9)),
+                                 (enumerate_classes, range(-1, 7))):
+            for d in degrees:
+                genus_of = {}
+                # floor -2 lists every class of the higher floors
+                for floor in range(-2, 2):
+                    every = listing(surface, d, min_self=floor)
+                    for c in every:
+                        if c not in genus_of:
+                            genus_of[c] = arithmetic_genus(c, surface)
+                    genera = sorted({genus_of[c] for c in every}) or [0]
+                    for g in [genera[0] - 1] + genera + [genera[-1] + 1]:
+                        pinned = listing(surface, d, genus=g, min_self=floor)
+                        want = [c for c in every if genus_of[c] == g]
+                        assert pinned == want, (sid, listing.__name__, d, floor, g)
 
 
 def test_castelnuovo_degree_9_orbits():
