@@ -8,7 +8,7 @@ The package is organized as:
 * ``lattice``     - divisor classes and the intersection pairing
 * ``surfaces``    - the surface catalog and line/conic enumeration
 * ``curves``      - curve records, secant profiles, minimal curves
-* ``liaison``     - biliaison, Gorenstein and CI links, chain search
+* ``liaison``     - biliaison, Gorenstein links, chain search
 * ``search``      - the deterministic breadth-first core of both chain searches
 * ``hvectors``    - O-sequences, Gorenstein h-vectors, linkage, characters
 * ``glicci``      - point-configuration link chains

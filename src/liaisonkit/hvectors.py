@@ -240,33 +240,6 @@ class PostulationCharacter:
         return "(" + ",".join(str(x) for x in self.values) + ")"
 
 
-def postulation_character(hf) -> PostulationCharacter:
-    """Character of a curve from the Hilbert function of its coordinate
-    ring, listed from degree 0: gamma = -(third difference), with the
-    function extended by zero in negative degrees.
-
-    The input must reach the stable linear range (two equal consecutive
-    first differences at the tail); otherwise a CharacterError is raised.
-
-    >>> postulation_character([1, 2, 3, 4, 5]).values
-    (-1, 1)
-    """
-    phi = list(hf)
-    if len(phi) < 3:
-        raise CharacterError("need at least three Hilbert function values")
-    padded = [0, 0, 0] + phi
-    d1 = [padded[i] - padded[i - 1] for i in range(1, len(padded))]
-    d2 = [d1[i] - d1[i - 1] for i in range(1, len(d1))]
-    d3 = [d2[i] - d2[i - 1] for i in range(1, len(d2))]
-    if d1[-1] != d1[-2] or d2[-1] != 0:
-        raise CharacterError("Hilbert function does not stabilize to linear growth")
-    deg = d1[-1]
-    if deg < 1:
-        raise CharacterError("stable growth is constant: not a curve")
-    gamma = [-x for x in d3]
-    return PostulationCharacter(tuple(gamma), degree=deg)
-
-
 def character_is_positive(gamma: PostulationCharacter) -> bool:
     """gamma(0) = -1 and, from the first nonnegative index s0 >= 1 on,
     every value is nonnegative."""

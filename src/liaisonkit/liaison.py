@@ -1,6 +1,5 @@
 """Elementary biliaison, Gorenstein links through anticanonical-twist
-divisors, complete-intersection linkage in P3, and the ascending chain
-search from line classes.
+divisors, and the ascending chain search from line classes.
 
 The Gorenstein divisors used for links on an ACM surface are modeled as
 the classes ``m*H - K``; the hyperplane twist of such a divisor is ``m``,
@@ -26,7 +25,7 @@ from .lattice import (
     arithmetic_genus,
     degree,
     expected_dim_linear_system,
-    intersect,
+    intersect,  # unused here; bench/run.py requires this module to bind it
 )
 from .surfaces import (
     ScreenRows,
@@ -128,14 +127,6 @@ def elementary_biliaison(curve: CurveRecord, h: int) -> CurveRecord:
     )
 
 
-def biliaison_genus_formula(curve: CurveRecord, h: int) -> int:
-    """Genus predicted by the update formula (checked against adjunction
-    in the property suite)."""
-    surface = curve.witness_surface()
-    hk = intersect(surface.H, surface.K)
-    return curve.genus + h * curve.degree + h * (h * surface.degree + hk) // 2
-
-
 def g_link_on_surface(curve: CurveRecord, m: int) -> CurveRecord:
     """Link C through the Gorenstein divisor D = m*H - K on its witness
     surface; returns the residual D - C.  Degrees add up to deg(D); the
@@ -151,30 +142,12 @@ def g_link_on_surface(curve: CurveRecord, m: int) -> CurveRecord:
     return CurveRecord.on_surface(surface, residual, rao=curve.rao.linked(m))
 
 
-def ci_link_p3(curve: CurveRecord, f1: int, f2: int) -> CurveRecord:
-    """Link a space curve through a complete intersection of surfaces of
-    degrees f1, f2 in P3: d' = f1*f2 - d and
-    g' = g + (f1 + f2 - 4)(d' - d)/2."""
-    if f1 < 1 or f2 < 1:
-        raise LinkageError("complete intersection degrees must be positive")
-    if curve.witness is not None and curve.witness_surface().ambient == "P4":
-        raise LinkageError("ci_link_p3 needs a space curve, witness lives in P4")
-    d2 = f1 * f2 - curve.degree
-    if d2 < 0:
-        raise LinkageError(
-            f"complete intersection of degree {f1 * f2} cannot contain a "
-            f"degree-{curve.degree} curve"
-        )
-    if d2 == 0:
-        raise LinkageError("curve fills the complete intersection; empty residual")
-    g2 = curve.genus + (f1 + f2 - 4) * (d2 - curve.degree) // 2
-    return CurveRecord.abstract(d2, g2, rao=curve.rao.linked(f1 + f2 - 4))
-
-
 def family_dimension(surface: SurfaceModel, cls: DivisorClass) -> int:
-    """Dimension of the family swept by |C| as the surface moves:
-    the catalog's surface family dimension plus the Riemann-Roch estimate
-    for dim |C|.  The catalog defines the former for P4 surfaces only."""
+    """Dimension of the family swept by |C| as the surface moves: the
+    surface term plus the Riemann-Roch estimate for dim |C|.  The surface
+    term is ``surface.family_dim``, chi(N_X) derived at catalog load for
+    P4 surfaces only; it is the dimension of the Hilbert scheme at X only
+    when h^1(N_X) = 0."""
     if surface.family_dim is None:
         raise UnsupportedSurfaceError(
             f"family dimension undefined for {surface.id} (ambient {surface.ambient})"

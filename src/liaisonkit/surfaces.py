@@ -2,9 +2,11 @@
 line and conic classes.
 
 The catalog ships as a JSON data file (see ``data/surfaces.json`` for the
-schema) so new surfaces can be added without touching code.  The loader
-recomputes every stored invariant (degree, sectional genus, canonical
-class convention) and fails loudly on the first violation.
+schema) so new surfaces can be added without touching code.  A record
+stores only what defines its surface: id, ambient space, lattice basis
+and hyperplane class H.  The loader derives K, the number of blown-up
+points, the degree, the sectional genus and the family dimension, and
+refuses a record that stores one of them with another value.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ ONE_PARAMETER = "one_parameter"
 class SurfaceModel:
     """A named lattice with hyperplane and canonical class.
 
-    ``degree == H.H`` and ``sectional_genus == (H.H + H.K)/2 + 1`` are
-    revalidated at load time.  ``family_dim`` is the dimension of the
-    family of such surfaces in their ambient space; ``None`` where the
-    catalog does not define one (the P3/P2 entries).
+    ``blown_points``, ``K``, ``degree``, ``sectional_genus`` and
+    ``family_dim`` are derived from ``basis`` and ``H`` at load time (see
+    :func:`_derived_fields`).  ``family_dim`` is chi(N_X) for a surface
+    in P4, ``None`` elsewhere.  It equals the dimension of the Hilbert
+    scheme at X only when h^1(N_X) = 0.  With r blown-up points and
+    chi(O_X(H)) = 5 it is 2r + 16: 18, 26, 32 and 36 on the catalog's
+    four P4 surfaces.
     """
 
     id: str
@@ -88,28 +93,44 @@ def _canonical_for(basis: str, rank: int) -> DivisorClass:
     return DivisorClass.blownup((-3,) + (-1,) * (rank - 1))
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
+def _derived_fields(basis: str, ambient: str, H: DivisorClass) -> dict:
+    """The five invariants a catalog record need not store, derived from
+    its basis and hyperplane class H (Hartshorne, Algebraic Geometry, V.1
+    and II.8).
+
+    * ``K`` is (-3; -1..-1) on a blown-up plane and (-2,-2) on the quadric,
+      and ``blown_points`` is rank - 1 resp. ``None``.
+    * ``degree`` is H^2 and ``sectional_genus`` is (H^2 + H.K)/2 + 1.
+    * ``family_dim`` is chi(N_X) on P4 and ``None`` elsewhere.  The Euler
+      and normal sequences give chi(N_X) = 5 chi(O_X(H)) - chi(O_X)
+      - chi(T_X); on a rational surface Riemann-Roch gives
+      chi(O_X(H)) = 1 + (H^2 - H.K)/2, and Hirzebruch-Riemann-Roch with
+      Noether's formula gives chi(T_X) = 2 K^2 - 10.
+    """
+    rank = len(H.coeffs)
+    K = _canonical_for(basis, rank)
+    hh, hk = self_intersection(H), intersect(H, K)
+    family_dim = None
+    if ambient == "P4":
+        family_dim = 5 * (1 + (hh - hk) // 2) - 1 - (2 * self_intersection(K) - 10)
+    return {
+        "blown_points": rank - 1 if basis == BLOWNUP_PLANE else None,
+        "K": K,
+        "degree": hh,
+        "sectional_genus": (hh + hk) // 2 + 1,
+        "family_dim": family_dim,
+    }
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
-
-
-# field: (test, what the test wants); blown_points is required on
-# blownup_plane records only
+# field: (test, what the test wants)
 _REQUIRED_FIELDS = {
     "id": (lambda v: isinstance(v, str), "a string"),
     "ambient": (lambda v: isinstance(v, str), "a string"),
     "basis": (lambda v: v in (BLOWNUP_PLANE, QUADRIC), f"{BLOWNUP_PLANE!r} or {QUADRIC!r}"),
-    "H": (_is_int_list, "a list of integers"),
-    "K": (_is_int_list, "a list of integers"),
-    "degree": (_is_int, "an integer"),
-    "sectional_genus": (_is_int, "an integer"),
+    "H": (lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+          "a list of integers"),
 }
 _OPTIONAL_FIELDS = {
-    "blown_points": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "family_dim": (lambda v: v is None or _is_int(v), "an integer or null"),
     "special_position_notes": (
         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
         "a list of strings",
@@ -122,10 +143,7 @@ def _check_fields(rec, where: str) -> None:
     object with every required field, each field of its type."""
     if not isinstance(rec, dict):
         raise CatalogError(f"{where}: a surface record must be an object, got {rec!r}")
-    required = list(_REQUIRED_FIELDS)
-    if rec.get("basis") == BLOWNUP_PLANE:
-        required.append("blown_points")
-    for name in required:
+    for name in _REQUIRED_FIELDS:
         if name not in rec:
             raise CatalogError(f"{where}: missing field {name!r}")
     for name, (ok, wanted) in (_REQUIRED_FIELDS | _OPTIONAL_FIELDS).items():
@@ -138,44 +156,26 @@ def _parse_record(rec: dict, where: str) -> SurfaceModel:
     basis = rec["basis"]
     try:
         H = DivisorClass(basis, tuple(rec["H"]))
-        K = DivisorClass(basis, tuple(rec["K"]))
     except InvalidClassError as exc:
         raise CatalogError(f"{where} ({rec['id']}): {exc}") from exc
-    expected_K = _canonical_for(basis, len(H.coeffs))
-    if K != expected_K:
-        raise CatalogError(f"{where} ({rec['id']}): canonical class {K} != {expected_K}")
-    if basis == BLOWNUP_PLANE:
-        n = rec["blown_points"]
-        if n != len(H.coeffs) - 1:
+    derived = _derived_fields(basis, rec["ambient"], H)
+    # A record may still store a derived field (catalog v1); it must hold
+    # the derived value as JSON would write it, so true or 1.0 is no 1.
+    for name, value in derived.items():
+        want = list(value.coeffs) if name == "K" else value
+        if name in rec and repr(rec[name]) != repr(want):
             raise CatalogError(
-                f"{where} ({rec['id']}): blown_points {n} inconsistent with H length"
+                f"{where} ({rec['id']}): field {name!r} stores {rec[name]!r}, "
+                f"derived {want!r}"
             )
-    else:
-        n = None
-    model = SurfaceModel(
+    return SurfaceModel(
         id=rec["id"],
         ambient=rec["ambient"],
         basis=basis,
-        blown_points=n,
         H=H,
-        K=K,
-        degree=rec["degree"],
-        sectional_genus=rec["sectional_genus"],
-        family_dim=rec.get("family_dim"),
         special_position_notes=tuple(rec.get("special_position_notes", ())),
+        **derived,
     )
-    deg = self_intersection(H)
-    if deg != model.degree:
-        raise CatalogError(f"{where} ({rec['id']}): stored degree {model.degree}, H.H = {deg}")
-    sg = arithmetic_genus(H, model)
-    if sg != model.sectional_genus:
-        raise CatalogError(
-            f"{where} ({rec['id']}): stored sectional genus {model.sectional_genus}, "
-            f"recomputed {sg}"
-        )
-    if model.family_dim is None and model.ambient == "P4":
-        raise CatalogError(f"{where} ({rec['id']}): P4 surfaces need a family dimension")
-    return model
 
 
 def _default_catalog_text() -> str:

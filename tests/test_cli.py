@@ -158,9 +158,12 @@ def test_chain_search_on_alternate_catalog(scroll_catalog, capsys):
         ("h-text.json", b'{"surfaces":[{"id":"x","ambient":"P4","basis":"quadric",'
          b'"H":"1,1","K":[-2,-2],"degree":2,"sectional_genus":0}]}',
          "field 'H' must be a list of integers"),
+        ("wrong-degree.json", b'{"surfaces":[{"id":"x","ambient":"P4","basis":"quadric",'
+         b'"H":[1,1],"degree":3}]}',
+         "field 'degree' stores 3, derived 2"),
     ],
     ids=["missing", "invalid-json", "not-utf8", "no-surfaces", "not-an-object",
-         "no-fields", "mistyped-field"],
+         "no-fields", "mistyped-field", "wrong-degree"],
 )
 def test_bad_catalog_file_exits_2(argv, name, content, message, tmp_path, capsys):
     catalog = tmp_path / name
@@ -172,6 +175,30 @@ def test_bad_catalog_file_exits_2(argv, name, content, message, tmp_path, capsys
     assert captured.err.startswith("error: ")
     assert message in captured.err and str(catalog) in captured.err
     assert captured.out == ""
+
+
+def _blownup_K(n):
+    return "(-3;" + ",".join(["-1"] * n) + ")"
+
+
+# surface: (blown_points, K, degree, sectional_genus, family_dim)
+SURFACE_SHOW = {
+    "cubic_scroll": (1, _blownup_K(1), 3, 0, 18),
+    "del_pezzo_4": (5, _blownup_K(5), 4, 1, 26),
+    "castelnuovo_5": (8, _blownup_K(8), 5, 2, 32),
+    "bordiga_6": (10, _blownup_K(10), 6, 3, 36),
+    "cubic_surface_p3": (6, _blownup_K(6), 3, 1, None),
+    "quadric_p3": (None, "(-2,-2)", 2, 0, None),
+    "plane_p2": (0, "(-3;)", 1, 0, None),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(SURFACE_SHOW))
+def test_surface_show_prints_the_derived_fields(sid, capsys):
+    assert cli.main(["surface", "show", sid, "--format", "json"]) == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    fields = ("blown_points", "K", "degree", "sectional_genus", "family_dim")
+    assert tuple(out[f] for f in fields) == SURFACE_SHOW[sid]
 
 
 def test_failed_chain_search_exits_1(capsys):

@@ -1,6 +1,6 @@
-"""Liaison moves and chain search: worked examples, the dual-route checks
-(update formula vs adjunction; h-vector linkage vs the degree/genus
-formulas), involutions, and search determinism."""
+"""Liaison moves and chain search: worked examples, the dual-route check
+of the biliaison update formula against adjunction, the G-link
+involution, and search determinism."""
 
 import json
 import random
@@ -18,7 +18,6 @@ from liaisonkit.errors import (
     MissingWitnessError,
     UnsupportedSurfaceError,
 )
-from liaisonkit.hvectors import HVector, link_h_vector
 from liaisonkit.lattice import DivisorClass, arithmetic_genus, degree, intersect
 from liaisonkit.liaison import (
     BILIAISON,
@@ -27,8 +26,6 @@ from liaisonkit.liaison import (
     REWITNESS_TABLE,
     Chain,
     ascending_chain_search,
-    biliaison_genus_formula,
-    ci_link_p3,
     elementary_biliaison,
     family_dimension,
     g_link_on_surface,
@@ -72,6 +69,14 @@ def test_biliaison_examples():
 def test_biliaison_requires_witness():
     with pytest.raises(MissingWitnessError):
         elementary_biliaison(CurveRecord.abstract(2, -1), 1)
+
+
+def biliaison_genus_formula(curve: CurveRecord, h: int) -> int:
+    """Genus after an elementary biliaison of height h, by the update
+    formula g + h*d + h*(h*deg(S) + H.K)/2."""
+    surface = curve.witness_surface()
+    hk = intersect(surface.H, surface.K)
+    return curve.genus + h * curve.degree + h * (h * surface.degree + hk) // 2
 
 
 def test_biliaison_formula_vs_adjunction_1000_trials():
@@ -150,50 +155,6 @@ def test_g_link_rejects_empty_residual():
     h_rec = CurveRecord.on_surface(DP, DP.H)
     with pytest.raises(LinkageError):
         g_link_on_surface(h_rec, 0)  # D = -K = H: residual is empty
-
-
-def test_ci_link_examples_with_h_vector_oracle():
-    twisted = CurveRecord.abstract(3, 0, rao=RaoTag.zero())
-    res = ci_link_p3(twisted, 2, 2)
-    assert res.dg == (1, 0)
-    # oracle: the same numbers via Hilbert-function linkage of the
-    # Artinian reductions, (1,2) inside the CI h-vector (1,2,1)
-    z = HVector((1, 2), ambient_codim=2)
-    w = HVector((1, 2, 1), ambient_codim=2)
-    residual = link_h_vector(z, w)
-    d_oracle = residual.mass
-    g_oracle = sum((i - 1) * v for i, v in enumerate(residual.entries) if i >= 2)
-    assert res.dg == (d_oracle, g_oracle)
-
-    skew = CurveRecord.abstract(2, -1, rao=RaoTag.simple_k(0))
-    assert ci_link_p3(skew, 2, 2).dg == (2, -1)  # self-linked type
-    assert ci_link_p3(CurveRecord.abstract(5, 2), 2, 3).dg == (1, 0)
-    assert (2 + 3 - 4) * ((2 * 3 - 5) - 5) % 2 == 0  # parity cross-check
-
-
-def test_ci_link_involution():
-    rng = random.Random(45)
-    for _ in range(300):
-        d = rng.randint(1, 8)
-        g = rng.randint(-2, 6)
-        f1, f2 = rng.randint(2, 6), rng.randint(2, 6)
-        if f1 * f2 <= d:
-            continue
-        rec = CurveRecord.abstract(d, g, rao=RaoTag.simple_k(rng.randint(-2, 2)))
-        there = ci_link_p3(rec, f1, f2)
-        back = ci_link_p3(there, f1, f2)
-        assert back.dg == rec.dg
-        assert back.rao == rec.rao
-
-
-def test_ci_link_errors():
-    with pytest.raises(LinkageError):
-        ci_link_p3(CurveRecord.abstract(9, 1), 2, 2)  # d' < 0
-    with pytest.raises(LinkageError):
-        ci_link_p3(CurveRecord.abstract(4, 1), 2, 2)  # empty residual
-    witnessed = CurveRecord.on_surface(DP, DP.H)
-    with pytest.raises(LinkageError):
-        ci_link_p3(witnessed, 2, 2)  # lives in P4
 
 
 def test_family_dimension_values():

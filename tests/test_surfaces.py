@@ -1,4 +1,4 @@
-"""Catalog loading, line/conic enumeration, and the stored family
+"""Catalog loading, line/conic enumeration, and the derived family
 dimensions, each checked against an independent count where one exists."""
 
 import dataclasses
@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -523,13 +524,39 @@ def _packaged_catalog() -> dict:
     return json.loads(text)
 
 
-def test_catalog_loader_rejects_bad_records(tmp_path):
+# each field the loader derives, with a wrong value for surface 0, the
+# cubic scroll, whose derived values are 1, (-3;-1), 3, 0 and 18; true
+# must not pass for 1
+DERIVED_FIELDS = {"blown_points": True, "K": [-2, -2], "degree": 99, "sectional_genus": 5,
+                  "family_dim": 17}
+
+
+def test_packaged_catalog_stores_no_derived_field():
+    for rec in _packaged_catalog()["surfaces"]:
+        assert not set(rec) & set(DERIVED_FIELDS)
+
+
+@pytest.mark.parametrize("field", list(DERIVED_FIELDS))
+def test_catalog_loader_rejects_bad_records(field, tmp_path):
+    wrong = DERIVED_FIELDS[field]
     raw = _packaged_catalog()
-    raw["surfaces"][0]["degree"] = 99
+    raw["surfaces"][0][field] = wrong
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match=f"field '{field}' stores {re.escape(repr(wrong))}"):
         load_catalog(str(bad))
+
+
+def test_v1_records_with_their_derived_fields_load_to_the_same_catalog(tmp_path):
+    raw = _packaged_catalog()
+    catalog = load_catalog()
+    for rec in raw["surfaces"]:
+        s = catalog[rec["id"]]
+        rec.update(blown_points=s.blown_points, K=list(s.K.coeffs), degree=s.degree,
+                   sectional_genus=s.sectional_genus, family_dim=s.family_dim)
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(raw))
+    assert load_catalog(str(v1)) == catalog
 
 
 def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
@@ -552,7 +579,7 @@ def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
         (
             '{"surfaces": [{"id": "x", "ambient": "P4", "basis": "quadric", "H": [1, 1], '
             '"K": [-2, -2], "degree": 2, "sectional_genus": 0, "family_dim": "9"}]}',
-            "field 'family_dim' must be an integer or null",
+            "surface 0 \\(x\\): field 'family_dim' stores '9', derived 13",
         ),
         (
             '{"surfaces": [{"id": "x", "ambient": "P4", "basis": "blownup_plane", '
