@@ -10,6 +10,13 @@ class LiaisonkitError(Exception):
     """Base class for all package errors."""
 
 
+def _require_int(name: str, value) -> None:
+    """Raise :class:`LiaisonkitError` unless ``value`` is an int (a bool
+    is refused too)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise LiaisonkitError(f"{name} must be an integer, got {value!r}")
+
+
 class BasisMismatchError(LiaisonkitError):
     """Two divisor classes (or a class and a surface) live in different lattices."""
 

@@ -22,11 +22,10 @@ from itertools import compress
 from math import comb
 from operator import itemgetter, sub
 
-from .errors import LiaisonkitError, LinkageError
+from .errors import LiaisonkitError, LinkageError, _require_int
 from .hvectors import (
     HVector,
     _ambient_codim,
-    _require_int,
     generic_points_h_vector,
     growth_envelope,
     link_h_vector,

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import count, islice
 from math import comb
 
-from .errors import CharacterError, LiaisonkitError, LinkageError
+from .errors import CharacterError, LiaisonkitError, LinkageError, _require_int
 
 AMBIENT_CODIM = {"P2": 2, "P3": 3}
 
@@ -102,11 +102,6 @@ def _caps(r: int, surface_degree: int | None):
             section += min(i + 1, surface_degree)
             cap = min(cap, section)
         yield cap
-
-
-def _require_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise LiaisonkitError(f"{name} must be an integer, got {value!r}")
 
 
 def _ambient_codim(ambient: str, surface_degree: int | None) -> int:

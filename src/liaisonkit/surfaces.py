@@ -24,6 +24,7 @@ from .errors import (
     InvalidClassError,
     UnknownSurfaceError,
     UnsupportedSurfaceError,
+    _require_int,
 )
 from .lattice import (
     BLOWNUP_PLANE,
@@ -63,10 +64,6 @@ class SurfaceModel:
     sectional_genus: int
     family_dim: int | None
     special_position_notes: tuple[str, ...]
-
-    @property
-    def zero(self) -> DivisorClass:
-        return DivisorClass(self.basis, (0,) * len(self.H.coeffs))
 
 
 @dataclass(frozen=True)
@@ -232,9 +229,11 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Bounded integer enumeration of classes with prescribed invariants.
 #
-# For a class L = (a; b_1..b_n) with L.H = d and L^2 >= c (c <= 0) on a
-# lattice with H = (h_0; h_1..h_n), |h|^2 = sum(h_i^2) and
-# H^2 = h_0^2 - |h|^2 > 0:
+# For a class L = (a; b_1..b_n) with L.H = d and L^2 >= c on a lattice
+# with H = (h_0; h_1..h_n), |h|^2 = sum(h_i^2) and H^2 = h_0^2 - |h|^2 > 0,
+# the Hodge index theorem gives L^2 <= d^2 / H^2, so c ranges up to the
+# Hodge cap d^2 // H^2.  With c <= 0 (a floor above 0 is lowered to 0 for
+# this bound only):
 #
 #   a*h_0 - d = sum(b_i h_i), and (sum(b_i h_i))^2 <= |b|^2 |h|^2
 #   (Cauchy-Schwarz) with |b|^2 = a^2 - L^2 <= a^2 - c,
@@ -242,7 +241,10 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
 # so (a*h_0 - d)^2 <= |h|^2 (a^2 - c).  This quadratic in a has leading
 # coefficient H^2 > 0 and discriminant 4 |h|^2 (d^2 - H^2 c), so a lies
 # between its two roots; math.isqrt gives them exactly.  The b_i are then
-# bounded by the square budget a^2 - c.
+# bounded by the square budget: c <= L^2 <= d^2 // H^2 reads
+# max(a^2 - d^2 // H^2, 0) <= |b|^2 <= a^2 - c.  This window is exact, so
+# every tuple the search returns has its C^2 in range and no per-solution
+# C^2 test is needed.
 #
 # Orbit representatives.  Permuting blown-up points of equal H-weight
 # (equal entries h_i, wherever they sit in H) fixes H and
@@ -279,9 +281,11 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
 
 
 def _a_range(surface: SurfaceModel, d: int, min_self: int) -> range:
-    """Every a admitting a class of degree ``d`` with L^2 >= ``min_self``
-    (<= 0): the integer interval between the roots of the quadratic
-    above, widened by one on each side."""
+    """Every a admitting a class of degree ``d`` with L^2 >= ``min_self``:
+    the integer interval between the roots of the quadratic above, widened
+    by one on each side.  The bound assumes ``min_self <= 0``; callers
+    with a higher floor pass ``min(floor, 0)``, a superset of the a they
+    need."""
     h0 = surface.H.coeffs[0]
     hsq = sum(x * x for x in surface.H.coeffs[1:])
     root = math.isqrt(hsq * (d * d - surface.degree * min_self))
@@ -432,8 +436,7 @@ def class_representatives(
     surface: SurfaceModel,
     deg: int,
     genus: int | None = None,
-    self_ints=None,
-    min_self: int | None = None,
+    min_self: int = 0,
 ) -> list[DivisorClass]:
     """One class per orbit of the classes :func:`enumerate_classes`
     returns, under permutations of blown-up points of equal H-weight.
@@ -442,58 +445,47 @@ def class_representatives(
     of equal-weight points; degree, genus, C^2, the effectivity screen
     and H - C tests give the same answer on the whole orbit.  On the
     quadric every class is its own representative.  Output order is
-    canonical (sorted coefficient tuples).
+    canonical (sorted coefficient tuples).  A ``deg``, ``genus`` or
+    ``min_self`` that is not an int (or is a bool) raises
+    :class:`LiaisonkitError`.
 
     >>> dp = get_surface("del_pezzo_4")
-    >>> [str(c) for c in class_representatives(dp, 1, genus=0, self_ints=(-1,))]
+    >>> [str(c) for c in class_representatives(dp, 1, genus=0, min_self=-1)]
     ['(0;0,0,0,0,-1)', '(1;1,1,0,0,0)', '(2;1,1,1,1,1)']
     """
+    _require_int("deg", deg)
+    if genus is not None:
+        _require_int("genus", genus)
+    _require_int("min_self", min_self)
     if surface.basis == QUADRIC:
-        # (a, deg - a) has C^2 = 2a(deg - a) >= floor exactly when
-        # (2a - deg)^2 <= deg^2 - 2 floor; isqrt gives the a range, and
+        # (a, deg - a) has C^2 = 2a(deg - a) >= min_self exactly when
+        # (2a - deg)^2 <= deg^2 - 2 min_self; isqrt gives the a range, and
         # increasing a is increasing coefficient order
-        if self_ints is not None:
-            wanted = set(self_ints)
-            floor = min(wanted, default=0)
-        else:
-            wanted = None
-            floor = min_self if min_self is not None else 0
-        disc = deg * deg - 2 * floor
+        disc = deg * deg - 2 * min_self
         if disc < 0:
             return []
         root = math.isqrt(disc)
         found = []
         for a in range(-((root - deg) // 2), (deg + root) // 2 + 1):
             c = DivisorClass.quadric((a, deg - a))
-            if genus is not None and arithmetic_genus(c, surface) != genus:
-                continue
-            if wanted is not None and self_intersection(c) not in wanted:
-                continue
-            found.append(c)
+            if genus is None or arithmetic_genus(c, surface) == genus:
+                found.append(c)
         return found
 
     hodge_cap = (deg * deg) // surface.degree
-    if self_ints is None:
-        lo = min_self if min_self is not None else 0
-        q_list = list(range(lo, hodge_cap + 1))
-    else:
-        q_list = [q for q in sorted(set(self_ints)) if q <= hodge_cap]
-    if not q_list:
+    if min_self > hodge_cap:
         return []
-    qset = set(q_list)
     h = surface.H.coeffs
     b_solutions = _b_solver(h[1:])
     found = []
-    for a in _a_range(surface, deg, min(q_list[0], 0)):
+    for a in _a_range(surface, deg, min(min_self, 0)):
         # adjunction with K = (-3; -1..-1): 2g - 2 = L^2 + L.K
         # = a^2 - 3a - sum(b_i (b_i - 1)), so a genus pins that sum
         tri = None if genus is None else (a - 1) * (a - 2) - 2 * genus
-        # one sweep over the whole square-budget window
-        sq_lo = max(a * a - q_list[-1], 0)
-        sq_hi = a * a - q_list[0]
-        for b in b_solutions(a * h[0] - deg, tri, sq_lo, sq_hi):
-            if a * a - sum(x * x for x in b) in qset:
-                found.append((a,) + b)
+        # min_self <= a^2 - sum(b_i^2) <= hodge_cap, as a square budget
+        sq_lo = max(a * a - hodge_cap, 0)
+        for b in b_solutions(a * h[0] - deg, tri, sq_lo, a * a - min_self):
+            found.append((a,) + b)
     classes = [DivisorClass.blownup(c) for c in sorted(found)]
     if genus is not None:
         classes = [c for c in classes if arithmetic_genus(c, surface) == genus]
@@ -504,22 +496,20 @@ def enumerate_classes(
     surface: SurfaceModel,
     deg: int,
     genus: int | None = None,
-    self_ints=None,
-    min_self: int | None = None,
+    min_self: int = 0,
 ) -> list[DivisorClass]:
-    """All classes on ``surface`` with degree ``deg``, optionally pinned
-    arithmetic genus and/or self-intersection values.
+    """All classes on ``surface`` with degree ``deg``, C^2 in
+    [min_self .. Hodge bound d^2 // H^2] and, when given, arithmetic
+    genus ``genus``.
 
-    ``self_ints`` is an iterable of admitted values of C^2; when omitted,
-    C^2 ranges over [min_self .. Hodge bound d^2 // H^2].  Every orbit of
-    :func:`class_representatives` is expanded.  Output order is canonical
-    (sorted coefficient tuples).
+    Every orbit of :func:`class_representatives` is expanded.  Output
+    order is canonical (sorted coefficient tuples).
 
     Only the representatives are built through the checking
     :class:`DivisorClass` constructor; the other orbit members inherit
     their checks and are built in bulk without a second one.
     """
-    reps = class_representatives(surface, deg, genus, self_ints, min_self)
+    reps = class_representatives(surface, deg, genus, min_self)
     blocks = [tuple(i + 1 for i in b) for b in _weight_blocks(surface.H.coeffs[1:])]
     if not blocks:
         # no two points share a weight (the quadric too): orbits are single classes
@@ -533,7 +523,11 @@ def lines_on(surface: SurfaceModel) -> LineClassSet:
     """Exhaustive set of line classes: L.H = 1, genus 0, L^2 in {-1, 0}.
 
     Only blown-up-plane lattices carry the enumeration; the search bound
-    is the signature inequality documented above.
+    is the signature inequality documented above.  The floor -1 list of
+    degree-1, genus-0 classes is filtered here to L^2 <= 0: by the Hodge
+    index theorem a degree-1 class has L^2 <= 1/H^2, so the filter drops
+    a class only on plane_p2 (H^2 = 1), the class (1;) of a line of P2,
+    which moves in a two-parameter family and is not one of these lines.
 
     >>> scroll = get_surface("cubic_scroll")
     >>> [str(c) for c in lines_on(scroll).classes]
@@ -543,7 +537,10 @@ def lines_on(surface: SurfaceModel) -> LineClassSet:
         raise UnsupportedSurfaceError(
             f"line enumeration needs a blownup_plane lattice, got {surface.basis}"
         )
-    classes = enumerate_classes(surface, 1, genus=0, self_ints=(-1, 0))
+    classes = [
+        c for c in enumerate_classes(surface, 1, genus=0, min_self=-1)
+        if self_intersection(c) <= 0
+    ]
     flags = tuple(
         FINITE if self_intersection(c) == -1 else ONE_PARAMETER for c in classes
     )

@@ -193,12 +193,27 @@ SURFACE_SHOW = {
 }
 
 
+# surface: (line_count, number of conics); the quadric prints neither
+LINES_AND_CONICS = {
+    "cubic_scroll": (2, 1),
+    "del_pezzo_4": (16, 10),
+    "castelnuovo_5": (14, 1),
+    "bordiga_6": (10, 0),
+    "cubic_surface_p3": (27, 27),
+    "plane_p2": (0, 1),
+}
+
+
 @pytest.mark.parametrize("sid", sorted(SURFACE_SHOW))
 def test_surface_show_prints_the_derived_fields(sid, capsys):
     assert cli.main(["surface", "show", sid, "--format", "json"]) == cli.EXIT_OK
     out = json.loads(capsys.readouterr().out)
     fields = ("blown_points", "K", "degree", "sectional_genus", "family_dim")
     assert tuple(out[f] for f in fields) == SURFACE_SHOW[sid]
+    if sid == "quadric_p3":
+        assert "line_count" not in out and "conics" not in out
+    else:
+        assert (out["line_count"], len(out["conics"])) == LINES_AND_CONICS[sid]
 
 
 def test_failed_chain_search_exits_1(capsys):

@@ -67,7 +67,7 @@ def test_expected_dim_examples():
     # oracle for |H| on the degree-4 surface: linear forms of P4 modulo scaling
     monomial_count = 5
     assert expected_dim_linear_system(DP.H, DP) == monomial_count - 1
-    assert expected_dim_linear_system(DP.zero, DP) == 0
+    assert expected_dim_linear_system(B((0,) * 6), DP) == 0
     # exact integer evaluation (12 + 8) / 2
     assert expected_dim_linear_system(B((5, 3, 1, 1, 1, 1)), DP) == (12 + 8) // 2
 
