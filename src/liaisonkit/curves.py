@@ -13,10 +13,10 @@ honest default for curves without an asserted module.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 
-from .errors import InvalidClassError, LiaisonkitError, MissingWitnessError
-from .lattice import DivisorClass, arithmetic_genus, degree, intersect
+from .errors import InvalidClassError, LiaisonkitError, MissingWitnessError, Record, _set
+from .lattice import DivisorClass, arithmetic_genus, intersect
+from .lattice import degree as _degree  # CurveRecord takes a `degree` argument
 from .surfaces import SurfaceModel, conic_classes, lines_on
 
 RAO_ZERO = "zero"
@@ -25,27 +25,28 @@ RAO_M_A = "m_a"
 RAO_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class RaoTag:
+class RaoTag(Record):
     """Symbolic Rao module: kind, module parameter (for the m_a family),
     starting degree, and a duality flag toggled by odd links."""
 
-    kind: str = RAO_UNKNOWN
-    a: int | None = None
-    shift: int = 0
-    dualized: bool = False
+    __slots__ = ("kind", "a", "shift", "dualized")
 
-    def __post_init__(self):
-        if self.kind not in (RAO_ZERO, RAO_SIMPLE_K, RAO_M_A, RAO_UNKNOWN):
-            raise LiaisonkitError(f"unknown Rao kind {self.kind!r}")
-        if self.kind == RAO_M_A:
-            if self.a is None or self.a < 2:
+    def __init__(
+        self, kind: str = RAO_UNKNOWN, a: int | None = None, shift: int = 0, dualized: bool = False
+    ):
+        if kind not in (RAO_ZERO, RAO_SIMPLE_K, RAO_M_A, RAO_UNKNOWN):
+            raise LiaisonkitError(f"unknown Rao kind {kind!r}")
+        if kind == RAO_M_A:
+            if a is None or a < 2:
                 raise LiaisonkitError("m_a tags need a >= 2 (a = 1 is simple_k)")
-        elif self.a is not None:
-            raise LiaisonkitError(f"kind {self.kind} takes no module parameter")
-        if self.kind == RAO_ZERO and (self.shift != 0 or self.dualized):
-            object.__setattr__(self, "shift", 0)
-            object.__setattr__(self, "dualized", False)
+        elif a is not None:
+            raise LiaisonkitError(f"kind {kind} takes no module parameter")
+        if kind == RAO_ZERO and (shift != 0 or dualized):
+            shift, dualized = 0, False
+        _set(self, "kind", kind)
+        _set(self, "a", a)
+        _set(self, "shift", shift)
+        _set(self, "dualized", dualized)
 
     @classmethod
     def zero(cls) -> "RaoTag":
@@ -64,14 +65,14 @@ class RaoTag:
         by h, kind and duality are unchanged (biliaison is even)."""
         if self.kind == RAO_ZERO:
             return self
-        return replace(self, shift=self.shift + h)
+        return RaoTag(self.kind, self.a, self.shift + h, self.dualized)
 
     def linked(self, twist: int) -> "RaoTag":
         """Tag after one odd link through a Gorenstein scheme whose
         hyperplane twist is ``twist``: dualize and reflect the start."""
         if self.kind == RAO_ZERO:
             return self
-        return replace(self, shift=twist - self.shift, dualized=not self.dualized)
+        return RaoTag(self.kind, self.a, twist - self.shift, not self.dualized)
 
     def __str__(self) -> str:
         if self.kind == RAO_ZERO:
@@ -83,14 +84,17 @@ class RaoTag:
         return out + ("*" if self.dualized else "")
 
 
-@dataclass(frozen=True)
-class Witness:
-    surface: SurfaceModel
-    cls: DivisorClass
+class Witness(Record):
+    """A divisor class on a surface, for a curve that lies on it."""
+
+    __slots__ = ("surface", "cls")
+
+    def __init__(self, surface: SurfaceModel, cls: DivisorClass):
+        _set(self, "surface", surface)
+        _set(self, "cls", cls)
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(Record):
     """Exact (degree, genus) with an optional surface witness and a Rao tag.
 
     When a witness is present, degree and genus are recomputed from the
@@ -99,28 +103,31 @@ class CurveRecord:
     witnesses and tags are.
     """
 
-    degree: int
-    genus: int
-    witness: Witness | None = None
-    rao: RaoTag = RaoTag()
+    __slots__ = ("degree", "genus", "witness", "rao")
 
-    def __post_init__(self):
-        if self.witness is not None:
-            s = self.witness.surface
-            d = degree(self.witness.cls, s)
-            g = arithmetic_genus(self.witness.cls, s)
-            if (d, g) != (self.degree, self.genus):
+    def __init__(
+        self, degree: int, genus: int, witness: Witness | None = None, rao: RaoTag = RaoTag()
+    ):
+        if witness is not None:
+            s = witness.surface
+            d = _degree(witness.cls, s)
+            g = arithmetic_genus(witness.cls, s)
+            if (d, g) != (degree, genus):
                 raise InvalidClassError(
-                    f"witness {self.witness.cls} on {s.id} has (d,g)=({d},{g}), "
-                    f"record says ({self.degree},{self.genus})"
+                    f"witness {witness.cls} on {s.id} has (d,g)=({d},{g}), "
+                    f"record says ({degree},{genus})"
                 )
+        _set(self, "degree", degree)
+        _set(self, "genus", genus)
+        _set(self, "witness", witness)
+        _set(self, "rao", rao)
 
     @classmethod
     def on_surface(
         cls, surface: SurfaceModel, divisor: DivisorClass, rao: RaoTag = RaoTag()
     ) -> "CurveRecord":
         return cls(
-            degree=degree(divisor, surface),
+            degree=_degree(divisor, surface),
             genus=arithmetic_genus(divisor, surface),
             witness=Witness(surface, divisor),
             rao=rao,
@@ -140,12 +147,14 @@ class CurveRecord:
         return self.witness.surface
 
 
-@dataclass(frozen=True)
-class SecantProfile:
+class SecantProfile(Record):
     """Intersection numbers of a witnessed curve with every line class on
     its surface, plus the multiset summary."""
 
-    entries: tuple[tuple[DivisorClass, str, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[DivisorClass, str, int], ...]):
+        _set(self, "entries", entries)
 
     def summary(self) -> tuple[int, ...]:
         return tuple(sorted(v for _, _, v in self.entries))

@@ -1,9 +1,12 @@
-"""Typed errors raised across the package.
+"""Typed errors raised across the package, and the frozen record base
+class of its value types.
 
 Every precondition failure raises one of these; callers that want
 failure-as-a-value (the chain searches) never raise, they return report
 objects instead.
 """
+
+from operator import attrgetter
 
 
 class LiaisonkitError(Exception):
@@ -66,3 +69,64 @@ class CharacterError(LiaisonkitError):
 
 class InvalidInvocationError(LiaisonkitError):
     """CLI-level input validation failure (maps to exit code 2)."""
+
+
+class FrozenRecordError(AttributeError):
+    """A field of a :class:`Record` was assigned or deleted."""
+
+
+# Sets a field of a record being built; a record's own ``__setattr__``
+# refuses every assignment.
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value with the fields named in ``__slots__``.
+
+    A subclass lists its fields in ``__slots__`` and sets each in its own
+    ``__init__``, through :data:`_set`, with the parameters in field
+    order.  Records of one class are equal when their fields are, hash
+    their field tuple and print as ``Name(field=value, ...)``.  Pickling
+    and copying call the class on the fields, so every check in
+    ``__init__`` runs again.
+
+    >>> class Pair(Record):
+    ...     __slots__ = ("x", "y")
+    ...     def __init__(self, x, y=0):
+    ...         _set(self, "x", x)
+    ...         _set(self, "y", y)
+    >>> Pair(1) == Pair(1, 0), Pair(1, 2)
+    (True, Pair(x=1, y=2))
+    >>> Pair(1).x = 3
+    Traceback (most recent call last):
+    ...
+    liaisonkit.errors.FrozenRecordError: cannot assign to field 'x'
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        cls._astuple = property(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple

@@ -17,10 +17,9 @@ computed value is :data:`NOT_RECOMPUTED` is a display-only reference
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import comb
 
-from .errors import InvalidInvocationError
+from .errors import InvalidInvocationError, Record, _set
 from .lattice import (
     DivisorClass,
     arithmetic_genus,
@@ -75,26 +74,42 @@ def _jnorm(value):
     return value
 
 
-@dataclass(frozen=True)
-class RefValue:
-    value: object
-    provenance: str  # paper | trivial | derived
-    note: str = ""
+class RefValue(Record):
+    """A reference value, JSON-normalised, with its provenance (paper,
+    trivial or derived) and an optional note."""
 
-    def __post_init__(self):
-        if self.provenance not in ("paper", "trivial", "derived"):
-            raise InvalidInvocationError(f"bad provenance {self.provenance!r}")
-        object.__setattr__(self, "value", _jnorm(self.value))
+    __slots__ = ("value", "provenance", "note")
+
+    def __init__(self, value: object, provenance: str, note: str = ""):
+        if provenance not in ("paper", "trivial", "derived"):
+            raise InvalidInvocationError(f"bad provenance {provenance!r}")
+        _set(self, "value", _jnorm(value))
+        _set(self, "provenance", provenance)
+        _set(self, "note", note)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    experiment_id: str
-    anchor: str
-    computed: dict
-    references: dict
-    runtime_seconds: float
-    schema_version: int = SCHEMA_VERSION
+class ExperimentReport(Record):
+    """One experiment's computed values and references, with its runtime."""
+
+    __slots__ = (
+        "experiment_id", "anchor", "computed", "references", "runtime_seconds", "schema_version",
+    )
+
+    def __init__(
+        self,
+        experiment_id: str,
+        anchor: str,
+        computed: dict,
+        references: dict,
+        runtime_seconds: float,
+        schema_version: int = SCHEMA_VERSION,
+    ):
+        _set(self, "experiment_id", experiment_id)
+        _set(self, "anchor", anchor)
+        _set(self, "computed", computed)
+        _set(self, "references", references)
+        _set(self, "runtime_seconds", runtime_seconds)
+        _set(self, "schema_version", schema_version)
 
     @property
     def matches(self) -> dict:

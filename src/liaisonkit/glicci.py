@@ -16,13 +16,12 @@ generic h-vectors (``_generic``).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import comb
 from operator import itemgetter, sub
 
-from .errors import LiaisonkitError, LinkageError, _require_int
+from .errors import LiaisonkitError, LinkageError, Record, _require_int, _set
 from .hvectors import (
     HVector,
     _ambient_codim,
@@ -266,19 +265,19 @@ def _moves(
     return tuple((w, m2) for m2, w in sorted(targets.items()))
 
 
-@dataclass(frozen=True)
-class PointChain:
+class PointChain(Record):
     """Glicci chain: configuration states and the Gorenstein link used
     between each consecutive pair."""
 
-    states: tuple[HVector, ...]
-    links: tuple[HVector, ...]
+    __slots__ = ("states", "links")
 
     found = True
 
-    def __post_init__(self):
-        if len(self.links) != max(len(self.states) - 1, 0):
+    def __init__(self, states: tuple[HVector, ...], links: tuple[HVector, ...]):
+        if len(links) != max(len(states) - 1, 0):
             raise LiaisonkitError("chain shape mismatch")
+        _set(self, "states", states)
+        _set(self, "links", links)
 
     @property
     def counts(self) -> tuple[int, ...]:

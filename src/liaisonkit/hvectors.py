@@ -10,34 +10,32 @@ complete-intersection trapezoids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 from math import comb
 
-from .errors import CharacterError, LiaisonkitError, LinkageError, _require_int
+from .errors import CharacterError, LiaisonkitError, LinkageError, Record, _require_int, _set
 
 AMBIENT_CODIM = {"P2": 2, "P3": 3}
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(Record):
     """Finite sequence of nonnegative integers starting with 1, trailing
     zeros trimmed; ``ambient_codim`` is the codimension of the points it
     describes (3 for P3, 2 for P2)."""
 
-    entries: tuple[int, ...]
-    ambient_codim: int = 3
+    __slots__ = ("entries", "ambient_codim")
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        while entries and entries[-1] == 0:
-            entries = entries[:-1]
-        if not entries or entries[0] != 1:
-            raise LiaisonkitError(f"h-vector must start with 1, got {self.entries}")
-        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in entries):
-            raise LiaisonkitError(f"h-vector entries must be nonnegative integers: {entries}")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...], ambient_codim: int = 3):
+        trimmed = tuple(entries)
+        while trimmed and trimmed[-1] == 0:
+            trimmed = trimmed[:-1]
+        if not trimmed or trimmed[0] != 1:
+            raise LiaisonkitError(f"h-vector must start with 1, got {entries}")
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in trimmed):
+            raise LiaisonkitError(f"h-vector entries must be nonnegative integers: {trimmed}")
+        _set(self, "entries", trimmed)
+        _set(self, "ambient_codim", ambient_codim)
 
     @property
     def mass(self) -> int:
@@ -211,25 +209,24 @@ def link_h_vector(z: HVector, w: HVector) -> HVector:
     return HVector(tuple(res), ambient_codim=w.ambient_codim)
 
 
-@dataclass(frozen=True)
-class PostulationCharacter:
+class PostulationCharacter(Record):
     """Integer sequence gamma(0), gamma(1), ... with sum 0 and weighted
     sum equal to the curve degree."""
 
-    values: tuple[int, ...]
-    degree: int
+    __slots__ = ("values", "degree")
 
-    def __post_init__(self):
-        values = tuple(self.values)
+    def __init__(self, values: tuple[int, ...], degree: int):
+        values = tuple(values)
         while values and values[-1] == 0:
             values = values[:-1]
-        object.__setattr__(self, "values", values)
         if sum(values) != 0:
             raise CharacterError(f"character mass {sum(values)} != 0: {values}")
-        if sum(i * v for i, v in enumerate(values)) != self.degree:
+        if sum(i * v for i, v in enumerate(values)) != degree:
             raise CharacterError(
-                f"weighted character sum != degree {self.degree}: {values}"
+                f"weighted character sum != degree {degree}: {values}"
             )
+        _set(self, "values", values)
+        _set(self, "degree", degree)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.values) + ")"

@@ -17,17 +17,28 @@ rounded.  Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
+from operator import ge, gt, le, lt
 
-from .errors import BasisMismatchError, InvalidClassError
+from .errors import BasisMismatchError, InvalidClassError, Record
 
 BLOWNUP_PLANE = "blownup_plane"
 QUADRIC = "quadric"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class DivisorClass:
+def _order(compare):
+    """The :class:`DivisorClass` method that compares two classes as
+    ``compare`` compares their ``(basis, coeffs)`` tuples."""
+
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare((self.basis, self.coeffs), (other.basis, other.coeffs))
+        return NotImplemented
+
+    return method
+
+
+class DivisorClass(Record):
     """An integer divisor class in one of the supported lattices.
 
     ``basis`` is ``"blownup_plane"`` (coeffs ``(a, b_1..b_n)``) or
@@ -40,8 +51,13 @@ class DivisorClass:
     -1
     """
 
-    basis: str
-    coeffs: tuple[int, ...]
+    __slots__ = ("basis", "coeffs")
+
+    def __init__(self, basis: str, coeffs: tuple[int, ...]):
+        _set_basis(self, basis)
+        _set_coeffs(self, coeffs)
+        # a method of its own: bench/tracer.py counts checked builds through it
+        self.__post_init__()
 
     def __post_init__(self):
         if self.basis not in (BLOWNUP_PLANE, QUADRIC):
@@ -58,6 +74,17 @@ class DivisorClass:
             )
         if self.basis == BLOWNUP_PLANE and len(self.coeffs) < 1:
             raise InvalidClassError("blownup_plane classes need at least (a;)")
+
+    # the Record equality and hash, spelled out for speed
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.basis == other.basis and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.basis, self.coeffs))
+
+    __lt__, __le__, __gt__, __ge__ = map(_order, (lt, le, gt, ge))
 
     @classmethod
     def blownup(cls, coeffs) -> "DivisorClass":

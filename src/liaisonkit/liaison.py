@@ -10,14 +10,15 @@ shift of a biliaison of height ``m' - m``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
     LiaisonkitError,
     LinkageError,
     MissingWitnessError,
+    Record,
     UnsupportedSurfaceError,
+    _set,
 )
 from .lattice import (
     BLOWNUP_PLANE,
@@ -44,16 +45,25 @@ G_LINK = "g_link"
 REWITNESS = "rewitness"
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Record):
     """One liaison move with full before/after records.  The after record
     is always rebuilt from the lattice, never copied."""
 
-    kind: str
-    before: CurveRecord
-    after: CurveRecord
-    h: int | None = None
-    m: int | None = None
+    __slots__ = ("kind", "before", "after", "h", "m")
+
+    def __init__(
+        self,
+        kind: str,
+        before: CurveRecord,
+        after: CurveRecord,
+        h: int | None = None,
+        m: int | None = None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "before", before)
+        _set(self, "after", after)
+        _set(self, "h", h)
+        _set(self, "m", m)
 
     def describe(self) -> str:
         surface_id = self.after.witness_surface().id
@@ -64,28 +74,28 @@ class ChainStep:
         return f"rewitness on {surface_id}"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Ordered liaison moves; the auditable history of a search result.
     Consecutive steps share a record: (d, g), witness and Rao tag."""
 
-    steps: tuple[ChainStep, ...]
-    ascending_only: bool = True
+    __slots__ = ("steps", "ascending_only")
 
     found = True
 
-    def __post_init__(self):
-        for a, b in zip(self.steps, self.steps[1:]):
+    def __init__(self, steps: tuple[ChainStep, ...], ascending_only: bool = True):
+        for a, b in zip(steps, steps[1:]):
             if a.after != b.before:
                 raise LiaisonkitError(
                     f"chain records do not match: {a.after} vs {b.before}"
                 )
-        if self.ascending_only:
-            for s in self.steps:
+        if ascending_only:
+            for s in steps:
                 if s.kind == BILIAISON and (s.h is None or s.h < 0):
                     raise LiaisonkitError("descending step in an ascending chain")
                 if s.kind == G_LINK:
                     raise LiaisonkitError("odd link in an ascending chain")
+        _set(self, "steps", steps)
+        _set(self, "ascending_only", ascending_only)
 
     @property
     def start(self) -> CurveRecord | None:

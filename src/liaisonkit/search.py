@@ -9,20 +9,29 @@ reached, not on the order in which they were found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .errors import Record, _set
 
 
-@dataclass(frozen=True)
-class SearchFailure:
+class SearchFailure(Record):
     """Exhaustion report of either chain search; every search result has
-    ``found``.  ``frontier_sizes`` is empty when no level sizes are kept."""
+    ``found``.  ``frontier_sizes`` is empty when no level sizes are kept,
+    and ``bounds`` defaults to a new empty dict."""
 
-    target: object
-    explored: int
-    frontier_sizes: tuple[int, ...] = ()
-    bounds: dict = field(default_factory=dict)
+    __slots__ = ("target", "explored", "frontier_sizes", "bounds")
 
     found = False
+
+    def __init__(
+        self,
+        target: object,
+        explored: int,
+        frontier_sizes: tuple[int, ...] = (),
+        bounds: dict | None = None,
+    ):
+        _set(self, "target", target)
+        _set(self, "explored", explored)
+        _set(self, "frontier_sizes", frontier_sizes)
+        _set(self, "bounds", {} if bounds is None else bounds)
 
 
 def expand(frontier, parent, moves):

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import os
 from functools import lru_cache
-from importlib import resources
 from operator import add, itemgetter, mul
-from pathlib import Path
 
 from .errors import (
     CatalogError,
     InvalidClassError,
+    Record,
     UnknownSurfaceError,
     UnsupportedSurfaceError,
     _require_int,
+    _set,
 )
 from .lattice import (
     BLOWNUP_PLANE,
@@ -41,8 +41,7 @@ FINITE = "finite"
 ONE_PARAMETER = "one_parameter"
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """A named lattice with hyperplane and canonical class.
 
     ``blown_points``, ``K``, ``degree``, ``sectional_genus`` and
@@ -54,28 +53,48 @@ class SurfaceModel:
     four P4 surfaces.
     """
 
-    id: str
-    ambient: str
-    basis: str
-    blown_points: int | None
-    H: DivisorClass
-    K: DivisorClass
-    degree: int
-    sectional_genus: int
-    family_dim: int | None
-    special_position_notes: tuple[str, ...]
+    __slots__ = (
+        "id", "ambient", "basis", "blown_points", "H", "K", "degree",
+        "sectional_genus", "family_dim", "special_position_notes",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        ambient: str,
+        basis: str,
+        blown_points: int | None,
+        H: DivisorClass,
+        K: DivisorClass,
+        degree: int,
+        sectional_genus: int,
+        family_dim: int | None,
+        special_position_notes: tuple[str, ...],
+    ):
+        _set(self, "id", id)
+        _set(self, "ambient", ambient)
+        _set(self, "basis", basis)
+        _set(self, "blown_points", blown_points)
+        _set(self, "H", H)
+        _set(self, "K", K)
+        _set(self, "degree", degree)
+        _set(self, "sectional_genus", sectional_genus)
+        _set(self, "family_dim", family_dim)
+        _set(self, "special_position_notes", special_position_notes)
 
 
-@dataclass(frozen=True)
-class LineClassSet:
+class LineClassSet(Record):
     """All line classes on a surface with their family flags.
 
     A flag is ``finite`` for rigid lines (L^2 = -1) and ``one_parameter``
     for ruling families (L^2 = 0).
     """
 
-    classes: tuple[DivisorClass, ...]
-    family_flags: tuple[str, ...]
+    __slots__ = ("classes", "family_flags")
+
+    def __init__(self, classes: tuple[DivisorClass, ...], family_flags: tuple[str, ...]):
+        _set(self, "classes", classes)
+        _set(self, "family_flags", family_flags)
 
     def pairs(self):
         return tuple(zip(self.classes, self.family_flags))
@@ -176,7 +195,9 @@ def _parse_record(rec: dict, where: str) -> SurfaceModel:
 
 
 def _default_catalog_text() -> str:
-    return resources.files("liaisonkit.data").joinpath("surfaces.json").read_text()
+    # through the package's loader, so a zipped install reads it too
+    path = os.path.join(os.path.dirname(__file__), "data", "surfaces.json")
+    return __loader__.get_data(path).decode("utf-8")
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +213,8 @@ def load_catalog(path: str | None = None) -> dict[str, SurfaceModel]:
         text = _default_catalog_text()
     else:
         try:
-            text = Path(path).read_text()
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     try:
@@ -551,8 +573,7 @@ def _dot(x, y) -> int:
     return sum(map(mul, x, y))
 
 
-@dataclass(frozen=True)
-class ScreenRows:
+class ScreenRows(Record):
     """Dual rows of the intersection form on one surface, for arithmetic
     on raw coefficient tuples: ``x . y == sum(x_i * row_i)`` where
     ``row`` is the dual row of ``y``.
@@ -566,15 +587,29 @@ class ScreenRows:
     ``line_invariants`` the :meth:`invariants` of each line class.
     """
 
-    H: tuple[int, ...]
-    K: tuple[int, ...]
-    lines: tuple[tuple[int, ...], ...]
-    form: tuple[tuple[int, int, int], ...]
-    hh: int
-    hk: int
-    kk: int
-    line_k: tuple[int, ...]
-    line_invariants: tuple[tuple, ...] = ()
+    __slots__ = ("H", "K", "lines", "form", "hh", "hk", "kk", "line_k", "line_invariants")
+
+    def __init__(
+        self,
+        H: tuple[int, ...],
+        K: tuple[int, ...],
+        lines: tuple[tuple[int, ...], ...],
+        form: tuple[tuple[int, int, int], ...],
+        hh: int,
+        hk: int,
+        kk: int,
+        line_k: tuple[int, ...],
+        line_invariants: tuple[tuple, ...] = (),
+    ):
+        _set(self, "H", H)
+        _set(self, "K", K)
+        _set(self, "lines", lines)
+        _set(self, "form", form)
+        _set(self, "hh", hh)
+        _set(self, "hk", hk)
+        _set(self, "kk", kk)
+        _set(self, "line_k", line_k)
+        _set(self, "line_invariants", line_invariants)
 
     def invariants(self, c) -> tuple:
         """``(C.H, C^2, C.K, p_min, k_max)`` of the class with coefficients
@@ -616,7 +651,7 @@ def screen_rows(surface: SurfaceModel) -> ScreenRows:
         return tuple(intersect(u, y) for u in units)
 
     lines = lines_on(surface).classes if surface.basis == BLOWNUP_PLANE else ()
-    rows = ScreenRows(
+    fields = dict(
         H=row(surface.H),
         K=row(surface.K),
         lines=tuple(row(line) for line in lines),
@@ -628,7 +663,10 @@ def screen_rows(surface: SurfaceModel) -> ScreenRows:
         kk=intersect(surface.K, surface.K),
         line_k=tuple(intersect(line, surface.K) for line in lines),
     )
-    return replace(rows, line_invariants=tuple(rows.invariants(line.coeffs) for line in lines))
+    rows = ScreenRows(**fields)
+    return ScreenRows(
+        **fields, line_invariants=tuple(rows.invariants(line.coeffs) for line in lines)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -303,20 +303,86 @@ def test_python_dash_m_runs_the_cli():
     assert "ex4.2" in proc.stdout
 
 
+def _catalog_copy(tmp_path, name, **changes):
+    """A copy of the packaged catalog, written as UTF-8, with the fields
+    of cubic_scroll changed."""
+    raw = json.loads((SRC / "liaisonkit" / "data" / "surfaces.json").read_bytes())
+    raw["surfaces"] = [dict(s, **changes) if s["id"] == "cubic_scroll" else s for s in raw["surfaces"]]
+    path = tmp_path / name
+    path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def test_catalog_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
+    note = "ruled \N{EM DASH} one line per fibre"
+    catalog = _catalog_copy(tmp_path, "dash.json", special_position_notes=[note])
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "liaisonkit",
+         "surface", "show", "cubic_scroll", "--catalog", catalog, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C"),
+        timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["notes"] == [note]
+
+
+def test_no_file_is_read_in_the_locale_encoding(tmp_path):
+    catalog = _catalog_copy(tmp_path, "copy.json")
+    for argv in (
+        ["experiment", "run", "all", "--format", "json"],
+        ["surface", "show", "cubic_scroll", "--catalog", catalog, "--format", "json"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "liaisonkit", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_OK, (argv, proc.stderr)
+
+
+# Modules whose import time a cold start does not pay: ``dataclasses``
+# pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+SLOW_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "pathlib")
+
+
+def test_cold_start_loads_no_slow_stdlib_modules():
+    # -S: no site, so no .pth file of the installation imports them first
+    code = (
+        "import sys, liaisonkit.cli as c\n"
+        "c.build_parser()\n"
+        f"print(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 # The package modules each module loads: the ones it imports, directly or
-# through them, and no other.  ``data`` is the packaged catalog, which
-# ``liaison`` reads at import time.
+# through them, and no other.  ``liaison`` reads the packaged catalog at
+# import time through the package's loader, which imports nothing.
 LOADS = {
     "errors": "errors",
-    "search": "search",
+    "search": "errors search",
     "lattice": "errors lattice",
     "hvectors": "errors hvectors",
     "surfaces": "errors lattice surfaces",
     "curves": "curves errors lattice surfaces",
     "glicci": "errors glicci hvectors search",
-    "liaison": "curves data errors lattice liaison search surfaces",
-    "experiments": "curves data errors experiments glicci hvectors lattice liaison search surfaces",
-    "cli": "cli curves data errors experiments glicci hvectors lattice liaison search surfaces",
+    "liaison": "curves errors lattice liaison search surfaces",
+    "experiments": "curves errors experiments glicci hvectors lattice liaison search surfaces",
+    "cli": "cli curves errors experiments glicci hvectors lattice liaison search surfaces",
 }
 
 
