@@ -3,9 +3,9 @@ points to a single point by Gorenstein links.
 
 States are point counts carrying their generic h-vectors; a move links
 the current configuration through an enumerated Gorenstein h-vector and
-must land on another generic configuration (the default admissibility
-rule; a permissive rule accepts any valid residual).  Chains are always
-re-validated step by step before being returned.
+must land on another generic configuration: only generic residuals are
+admissible.  Chains are always re-validated step by step before being
+returned.
 
 Three process-global caches, filled on first use and never cleared,
 serve every chain: the Gorenstein tables (``_gorenstein_h_vectors``),

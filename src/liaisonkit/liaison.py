@@ -379,10 +379,11 @@ class _Exploration:
 
     Level 0 is the seeds closed under the table hops; level i + 1 is the
     states first reached by a move from level i, closed the same way (hop
-    targets are roots).  Every level keeps its size and its lowest sorted
-    state per (d, g); ``parent`` keeps every state seen.  Only the newest
-    level keeps its states and their invariants (deg, C^2, C.K, min_L L.C,
-    max_L (L.K + L.C)), from which the next level is built.
+    targets are roots).  ``sizes`` keeps the size of every level, ``first``
+    maps each (d, g) to the level where it first appears and the lowest
+    sorted state of that level, and ``parent`` keeps every state seen.
+    Only the newest level keeps its states and their invariants (deg, C^2,
+    C.K, min_L L.C, max_L (L.K + L.C)), from which the next level is built.
     """
 
     def __init__(self, models, ascending_only, degree_cap, seeds):
@@ -409,10 +410,8 @@ class _Exploration:
                     self.hops.setdefault(dg, []).append(((REWITNESS, None), (sid, coeffs)))
                     self.hop_inv[sid, coeffs] = hop
 
-        # Rao tags matter only at the root; the replay derives the rest.
-        inv = {}
         if seeds is None:
-            self.seed_tags = {}
+            inv = {}
             for sid, surface in self.models.items():
                 if surface.basis != BLOWNUP_PLANE:
                     raise UnsupportedSurfaceError(
@@ -423,20 +422,18 @@ class _Exploration:
                 for line, line_inv in zip(
                     lines_on(surface).classes, self.rows[sid].line_invariants
                 ):
-                    self.seed_tags[sid, line.coeffs] = RaoTag.zero()
                     inv[sid, line.coeffs] = line_inv
-            if not self.seed_tags:
+            if not inv:
                 raise UnsupportedSurfaceError(
                     f"no line classes on {', '.join(self.models)} to seed the "
                     "search, so starts must be given"
                 )
         else:
-            self.seed_tags = dict(seeds)
-            inv = {s: self.rows[s[0]].invariants(s[1]) for s in self.seed_tags}
+            inv = {s: self.rows[s[0]].invariants(s[1]) for s in seeds}
 
         self.sizes: list[int] = []
-        self.first: list[dict] = []
-        self._add_level(dict.fromkeys(self.seed_tags), sorted(self.seed_tags), inv)
+        self.first: dict[tuple[int, int], tuple[int, tuple]] = {}
+        self._add_level(dict.fromkeys(inv), sorted(inv), inv)
 
     def _moves(self, state):
         sid, c = state
@@ -457,16 +454,15 @@ class _Exploration:
         hopped = expand(new, parent, lambda s: self.hops.get(_dg(inv[s]), ()))
         inv.update((s, self.hop_inv[s]) for s in hopped)
         frontier = sorted(new + hopped)
-        first = {}
+        first = self.first.copy()
         for s in frontier:
-            first.setdefault(_dg(inv[s]), s)
-        self.parent, self._frontier, self._inv = parent, frontier, inv
+            first.setdefault(_dg(inv[s]), (len(self.sizes), s))
+        self.parent, self._frontier, self._inv, self.first = parent, frontier, inv, first
         self.sizes.append(len(frontier))
-        self.first.append(first)
 
     def _grow(self):
-        # build into a copy, so an interrupted build leaves the shared
-        # exploration as it was
+        # build into copies of ``parent`` and ``first``, so an interrupted
+        # build leaves the shared exploration as it was
         parent = self.parent.copy()
         new = expand(self._frontier, parent, self._moves)
         inv = {
@@ -475,29 +471,17 @@ class _Exploration:
         }
         self._add_level(parent, new, inv)
 
-    def size(self, level: int) -> int:
-        """The number of states of ``level``, built if needed."""
-        while len(self.sizes) <= level:
-            self._grow()
-        return self.sizes[level]
-
-    def level_of(self, state) -> int | None:
-        """The level of a seen state, the number of liaison moves on its
-        path; ``None`` for a state not seen yet."""
-        if state not in self.parent:
-            return None
-        return sum(
-            move is not None and move[0] != REWITNESS
-            for move, _ in path_to(self.parent, state)
-        )
-
-    def replay(self, state):
+    def replay(self, state, tags):
         """The steps from the root of ``state`` to it, rebuilt on divisor
-        classes and certified, and the last record."""
+        classes and certified, and the last record.  ``tags`` maps each
+        seed state to the Rao tag of its root record; ``None`` tags every
+        root with the zero tag of a line."""
         (_, root), *path = path_to(self.parent, state)
         surface = self.models[root[0]]
         record = CurveRecord.on_surface(
-            surface, DivisorClass(surface.basis, root[1]), rao=self.seed_tags[root]
+            surface,
+            DivisorClass(surface.basis, root[1]),
+            rao=RaoTag.zero() if tags is None else tags[root],
         )
         steps = []
         for (kind, payload), (sid, coeffs) in path:
@@ -532,7 +516,7 @@ def _exploration(models, ascending_only, degree_cap, seeds) -> _Exploration:
     """The exploration shared by every search with these inputs in this
     process: ``models`` is a tuple of surface models sorted by id, and
     ``seeds`` is ``None`` for the default line seeds or the sorted
-    ``((surface_id, coeffs), RaoTag)`` pairs of the starts."""
+    (surface_id, coeffs) states of the starts."""
     return _Exploration(models, ascending_only, degree_cap, seeds)
 
 
@@ -544,48 +528,50 @@ def ascending_chain_search(
     starts: list[CurveRecord] | None = None,
     catalog_path: str | None = None,
 ):
-    """Breadth-first search for a liaison chain reaching ``target``.
+    """Breadth-first search for a liaison chain reaching the (degree,
+    genus) pair ``target``.
 
-    ``target`` is a (degree, genus) pair of ints, or a (surface_id,
-    DivisorClass) pair for an exact class on one of ``surfaces``; any
-    other value raises :class:`~liaisonkit.errors.LiaisonkitError`, as do
-    a ``surfaces`` given as one string and a ``max_steps`` that is not an
-    int >= 1.  Repeated surface ids count once.  States are
-    (surface_id, coefficient tuple) pairs, which sort like the classes
-    they stand for; moves are elementary biliaisons (heights >= 1 when
-    ``ascending_only``, otherwise nonzero heights in [-3, 3] plus
-    Gorenstein links with twists m in [1, 4]; see
-    :func:`screened_moves`), and zero-cost re-witness hops through the
-    shipped table.  Starts default to every line class on every allowed
-    surface, and :class:`~liaisonkit.errors.UnsupportedSurfaceError` is
-    raised when an allowed surface is not a blown-up plane or when none
-    carries a line class.  Surface ids resolve in the catalog at
-    ``catalog_path`` (the packaged one by default); a table hop is skipped
-    when its class has another (d, g) on that catalog's model.
+    ``target`` is a pair of ints; any other value raises
+    :class:`~liaisonkit.errors.LiaisonkitError`, as do a ``surfaces``
+    given as one string and a ``max_steps`` that is not an int >= 1.
+    Repeated surface ids count once.  States are (surface_id, coefficient
+    tuple) pairs, which sort like the classes they stand for; moves are
+    elementary biliaisons (heights >= 1 when ``ascending_only``, otherwise
+    nonzero heights in [-3, 3] plus Gorenstein links with twists m in
+    [1, 4]; see :func:`screened_moves`), and zero-cost re-witness hops
+    through the shipped table.  Starts default to every line class on
+    every allowed surface, and
+    :class:`~liaisonkit.errors.UnsupportedSurfaceError` is raised when an
+    allowed surface is not a blown-up plane or when none carries a line
+    class.  Surface ids resolve in the catalog at ``catalog_path`` (the
+    packaged one by default); a table hop is skipped when its class has
+    another (d, g) on that catalog's model.
 
     Levels follow the determinism rule of :mod:`liaisonkit.search`, and
-    the lowest sorted state that matches the target ends the search.  So
-    the order of ``surfaces`` does not change the chain, nor does the
-    order of ``starts`` unless two starts share a class with different
-    Rao tags (the first one listed wins).  The chain is replayed on
-    divisor classes from its root and certified: every biliaison and
-    Gorenstein-link result must pass :func:`is_effective_candidate` and
-    the last record must meet the target, or
-    :class:`~liaisonkit.errors.LiaisonkitError` is raised.  Failure is a
-    value (:class:`~liaisonkit.search.SearchFailure`); a target of
-    degree < 1, which no curve has, raises
+    the lowest sorted state of the target's (d, g) at the first level
+    where it appears ends the search.  So the order of ``surfaces`` does
+    not change the chain, nor does the order of ``starts`` unless two
+    starts share a class with different Rao tags (the first one listed
+    wins).  The chain is replayed on divisor classes from its root, which
+    carries its start's Rao tag (the zero tag for a default line seed),
+    and certified: every biliaison and Gorenstein-link result must pass
+    :func:`is_effective_candidate` and the last record must have the
+    target (d, g), or :class:`~liaisonkit.errors.LiaisonkitError` is
+    raised.  Failure is a value (:class:`~liaisonkit.search.SearchFailure`);
+    a target of degree < 1, which no curve has, raises
     :class:`~liaisonkit.errors.LiaisonkitError`.
 
     The levels do not depend on the target: a move is kept by the screen
     and the degree cap alone, so the target only picks the level where the
-    walk stops (the lowest sorted state of its (d, g), or its own state
-    for a class target), and ``max_steps`` how many levels are read.  So
-    the levels are built once per process for each key (the allowed
-    surface models, ``ascending_only``, the degree cap, and the seeds with
-    their Rao tags), kept for the life of the process, and grown one level
-    at a time when a search needs a deeper one.  The degree cap is the
-    target degree d, or d + 2 max H^2 for an any-direction search.  Every
-    call replays and certifies its own chain.
+    walk stops, and ``max_steps`` how many levels are read.  So the levels
+    are built once per process for each key (the allowed surface models,
+    ``ascending_only``, the degree cap, and the seed states; Rao tags
+    matter only at the root, so starts that differ only in a tag share
+    one), kept for the life of the process, and grown one level at a time
+    while the target (d, g) has not appeared, the last level is not empty
+    and no more than ``max_steps`` levels are built.  The degree cap is
+    the target degree d, or d + 2 max H^2 for an any-direction search.
+    Every call replays and certifies its own chain.
 
     Each state of the newest level carries its invariants (deg, C^2, C.K,
     min_L L.C, max_L (L.K + L.C)).  Roots compute them from the dual rows
@@ -620,32 +606,16 @@ def ascending_chain_search(
     models = {sid: get_surface(sid, catalog_path) for sid in surface_ids}
 
     pair = isinstance(target, tuple) and len(target) == 2
-    if pair and all(type(x) is int for x in target):
-        target_dg = target
-        target_state = None
-    elif pair and isinstance(target[1], DivisorClass):
-        sid, cls = target
-        if sid not in models:
-            raise LiaisonkitError(
-                f"target surface {sid} not in the allowed set {surface_ids}"
-            )
-        target_dg = (degree(cls, models[sid]), None)
-        target_state = (sid, cls.coeffs)
-    else:
-        raise LiaisonkitError(
-            "target must be (degree, genus) as ints or (surface_id, DivisorClass), "
-            f"got {target!r}"
-        )
-    if target_dg[0] < 1:
-        raise LiaisonkitError(
-            f"target degree {target_dg[0]} < 1: no curve has degree below 1"
-        )
+    if not (pair and all(type(x) is int for x in target)):
+        raise LiaisonkitError(f"target must be (degree, genus) as ints, got {target!r}")
+    if target[0] < 1:
+        raise LiaisonkitError(f"target degree {target[0]} < 1: no curve has degree below 1")
 
-    degree_cap = target_dg[0] if ascending_only else target_dg[0] + 2 * max(
+    degree_cap = target[0] if ascending_only else target[0] + 2 * max(
         s.degree for s in models.values()
     )
 
-    seeds = None
+    seeds = tags = None
     if starts is not None:
         tags = {}
         for rec in starts:
@@ -655,27 +625,20 @@ def ascending_chain_search(
             if models.get(surface.id) != surface:
                 raise LiaisonkitError(f"seed surface {surface.id} not in the allowed set")
             tags.setdefault((surface.id, rec.witness.cls.coeffs), rec.rao)
-        seeds = tuple(sorted(tags.items()))
+        seeds = tuple(sorted(tags))
 
     exploration = _exploration(tuple(models.values()), ascending_only, degree_cap, seeds)
-    for level in range(max_steps + 1):
-        if not exploration.size(level):
-            break
-        if target_state is None:
-            hit = exploration.first[level].get(target_dg)
-        else:
-            hit = target_state if exploration.level_of(target_state) == level else None
-        if hit is not None:
-            steps, record = exploration.replay(hit)
-            if target_state is None:
-                missed = record.dg != target_dg
-            else:
-                missed = (record.witness.surface.id, record.witness.cls.coeffs) != target_state
-            if missed:
-                raise LiaisonkitError(f"replayed chain ends at {record}, not at {target}")
-            return Chain(tuple(steps), ascending_only=ascending_only)
+    sizes = exploration.sizes
+    while target not in exploration.first and len(sizes) <= max_steps and sizes[-1]:
+        exploration._grow()
+    hit = exploration.first.get(target)
+    if hit is not None and hit[0] <= max_steps:
+        steps, record = exploration.replay(hit[1], tags)
+        if record.dg != target:
+            raise LiaisonkitError(f"replayed chain ends at {record}, not at {target}")
+        return Chain(tuple(steps), ascending_only=ascending_only)
 
-    frontier_sizes = tuple(exploration.sizes[: level + 1])
+    frontier_sizes = tuple(sizes[: max_steps + 1])
     return SearchFailure(
         target=target,
         explored=sum(frontier_sizes[:-1]),

@@ -19,10 +19,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture
 def scroll_catalog(tmp_path):
     """A catalog file whose only surface is the cubic scroll, renamed my_scroll."""
-    raw = json.loads(resources.files("liaisonkit.data").joinpath("surfaces.json").read_text())
+    packaged = resources.files("liaisonkit.data").joinpath("surfaces.json")
+    raw = json.loads(packaged.read_text(encoding="utf-8"))
     scroll = next(s for s in raw["surfaces"] if s["id"] == "cubic_scroll")
     alt = tmp_path / "alt.json"
-    alt.write_text(json.dumps({"surfaces": [dict(scroll, id="my_scroll")]}))
+    alt.write_text(json.dumps({"surfaces": [dict(scroll, id="my_scroll")]}), encoding="utf-8")
     return str(alt)
 
 
@@ -295,7 +296,7 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "liaisonkit", "experiment", "run", "ex4.2"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=env,
         timeout=120,
     )
@@ -321,7 +322,7 @@ def test_catalog_is_read_as_utf8_in_an_ascii_locale(tmp_path):
         [sys.executable, "-X", "utf8=0", "-m", "liaisonkit",
          "surface", "show", "cubic_scroll", "--catalog", catalog, "--format", "json"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C"),
         timeout=120,
     )
@@ -331,15 +332,17 @@ def test_catalog_is_read_as_utf8_in_an_ascii_locale(tmp_path):
 
 def test_no_file_is_read_in_the_locale_encoding(tmp_path):
     catalog = _catalog_copy(tmp_path, "copy.json")
+    packaged = str(SRC / "liaisonkit" / "data" / "surfaces.json")
     for argv in (
         ["experiment", "run", "all", "--format", "json"],
         ["surface", "show", "cubic_scroll", "--catalog", catalog, "--format", "json"],
+        ["surface", "show", "bordiga_6", "--catalog", packaged],
     ):
         proc = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "liaisonkit", *argv],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             timeout=120,
         )
@@ -361,7 +364,7 @@ def test_cold_start_loads_no_slow_stdlib_modules():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120,
     )
@@ -396,7 +399,7 @@ def test_importing_liaison_loads_no_logging():
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120,
     )
@@ -413,7 +416,7 @@ def test_importing_a_module_loads_only_what_it_uses(module):
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120,
     )

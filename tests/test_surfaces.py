@@ -549,8 +549,8 @@ def test_effectivity_screen():
 def _packaged_catalog() -> dict:
     from importlib import resources
 
-    text = resources.files("liaisonkit.data").joinpath("surfaces.json").read_text()
-    return json.loads(text)
+    packaged = resources.files("liaisonkit.data").joinpath("surfaces.json")
+    return json.loads(packaged.read_text(encoding="utf-8"))
 
 
 # each field the loader derives, with a wrong value for surface 0, the
@@ -571,7 +571,7 @@ def test_catalog_loader_rejects_bad_records(field, tmp_path):
     raw = _packaged_catalog()
     raw["surfaces"][0][field] = wrong
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
+    bad.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(CatalogError, match=f"field '{field}' stores {re.escape(repr(wrong))}"):
         load_catalog(str(bad))
 
@@ -584,7 +584,7 @@ def test_v1_records_with_their_derived_fields_load_to_the_same_catalog(tmp_path)
         rec.update(blown_points=s.blown_points, K=list(s.K.coeffs), degree=s.degree,
                    sectional_genus=s.sectional_genus, family_dim=s.family_dim)
     v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(raw))
+    v1.write_text(json.dumps(raw), encoding="utf-8")
     assert load_catalog(str(v1)) == catalog
 
 
@@ -592,7 +592,7 @@ def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
     raw = _packaged_catalog()
     raw["surfaces"][0]["K"] = [-3, -2]
     bad = tmp_path / "badk.json"
-    bad.write_text(json.dumps(raw))
+    bad.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(CatalogError):
         load_catalog(str(bad))
 
@@ -622,7 +622,7 @@ def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
 def test_catalog_loader_names_an_unusable_file(content, message, tmp_path):
     path = tmp_path / "catalog.json"
     if content is not None:
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
     with pytest.raises(CatalogError, match=message) as err:
         load_catalog(str(path))
     assert str(path) in str(err.value)
@@ -632,6 +632,6 @@ def test_catalog_override_path(tmp_path):
     raw = _packaged_catalog()
     raw["surfaces"] = [raw["surfaces"][0]]
     alt = tmp_path / "alt.json"
-    alt.write_text(json.dumps(raw))
+    alt.write_text(json.dumps(raw), encoding="utf-8")
     assert set(load_catalog(str(alt))) == {"cubic_scroll"}
     assert get_surface("cubic_scroll", str(alt)).degree == 3
