@@ -10,7 +10,7 @@ The package is organized as:
 * ``curves``      - curve records, secant profiles, minimal curves
 * ``liaison``     - biliaison, Gorenstein links, chain search
 * ``search``      - the deterministic breadth-first core of both chain searches
-* ``hvectors``    - O-sequences, Gorenstein h-vectors, linkage, characters
+* ``hvectors``    - O-sequences, Gorenstein h-vectors, linkage, ACM h-vectors
 * ``glicci``      - point-configuration link chains
 * ``experiments`` - scripted reproductions with reference values
 * ``cli``         - the ``liaisonkit`` command

@@ -24,13 +24,15 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 
 
-def parse_coeffs(text: str) -> tuple[int, ...]:
-    """Parse ``5;3,1,1,1,1`` or ``5,3,1^4`` or ``0;0^9,-1`` into a tuple.
-    A caret expands repeats: ``1^4`` is four ones; a count below 1 and a
-    coefficient that is not an integer are refused."""
+def parse_coeffs(text: str, rank: int, name: str) -> tuple[int, ...]:
+    """Parse ``5;3,1,1,1,1`` or ``5,3,1^4`` or ``0;0^9,-1`` into a tuple of
+    ``rank`` integers.  A caret expands repeats: ``1^4`` is four ones; a
+    count below 1 and a coefficient that is not an integer are refused.
+    The repeat counts are summed and checked against ``rank`` before any
+    is expanded; ``name`` labels the argument in that message."""
     text = text.strip().replace("(", "").replace(")", "")
     text = text.replace(";", ",")
-    out: list[int] = []
+    runs: list[tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -43,24 +45,22 @@ def parse_coeffs(text: str) -> tuple[int, ...]:
         if repeats < 1:
             raise InvalidInvocationError(f"repeat count in {part!r} must be an integer >= 1")
         try:
-            out.extend([int(val)] * repeats)
+            runs.append((int(val), repeats))
         except ValueError:
             raise InvalidInvocationError(f"coefficient {val!r} must be an integer") from None
-    if not out:
+    if not runs:
         raise InvalidInvocationError(f"empty coefficient list {text!r}")
-    return tuple(out)
+    total = sum(repeats for _, repeats in runs)
+    if total != rank:
+        raise InvalidInvocationError(f"{name} needs {rank} coefficients, got {total}")
+    return tuple(val for val, repeats in runs for _ in range(repeats))
 
 
 def _surface_class(surface_id: str, text: str, catalog: str | None, name: str):
     """The catalog surface and the class on it that ``text`` gives; ``name``
     labels the argument in the message for a wrong coefficient count."""
     surface = get_surface(surface_id, catalog)
-    values = parse_coeffs(text)
-    rank = len(surface.H.coeffs)
-    if len(values) != rank:
-        raise InvalidInvocationError(
-            f"{name} on {surface_id} needs {rank} coefficients, got {len(values)}"
-        )
+    values = parse_coeffs(text, len(surface.H.coeffs), f"{name} on {surface_id}")
     return surface, DivisorClass(surface.basis, values)
 
 

@@ -147,36 +147,23 @@ class CurveRecord(Record):
         return self.witness.surface
 
 
-class SecantProfile(Record):
-    """Intersection numbers of a witnessed curve with every line class on
-    its surface, plus the multiset summary."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[DivisorClass, str, int], ...]):
-        _set(self, "entries", entries)
-
-    def summary(self) -> tuple[int, ...]:
-        return tuple(sorted(v for _, _, v in self.entries))
-
-    def summary_counter(self) -> Counter:
-        return Counter(v for _, _, v in self.entries)
-
-    def compact(self) -> str:
-        """Multiset as ``0,1^4,2^6`` style text."""
-        counts = sorted(self.summary_counter().items())
-        return ",".join(f"{v}^{m}" if m > 1 else f"{v}" for v, m in counts)
-
-
-def multisecant_profile(curve: CurveRecord) -> SecantProfile:
-    """Map every line class of the witness surface to its intersection
+def multisecant_profile(curve: CurveRecord) -> tuple[tuple[DivisorClass, str, int], ...]:
+    """The ``(line, flag, number)`` triple of every line class on the
+    witness surface: the class, its family flag and its intersection
     number with the curve."""
     surface = curve.witness_surface()
-    entries = tuple(
+    return tuple(
         (line, flag, intersect(curve.witness.cls, line))
         for line, flag in lines_on(surface).pairs()
     )
-    return SecantProfile(entries)
+
+
+def compact_profile(entries) -> str:
+    """The intersection numbers of profile triples as ``0,1^4,2^6`` text:
+    each number once, in increasing order, with its multiplicity after a
+    caret when above 1."""
+    counts = sorted(Counter(v for _, _, v in entries).items())
+    return ",".join(f"{v}^{m}" if m > 1 else f"{v}" for v, m in counts)
 
 
 def k_secant_lines(curve: CurveRecord, k: int) -> list[tuple[DivisorClass, str]]:
@@ -185,8 +172,7 @@ def k_secant_lines(curve: CurveRecord, k: int) -> list[tuple[DivisorClass, str]]
     "Exactly" is deliberate: a class meeting the curve 4 times is a
     quadrisecant, not a trisecant.
     """
-    profile = multisecant_profile(curve)
-    return [(line, flag) for line, flag, v in profile.entries if v == k]
+    return [(line, flag) for line, flag, v in multisecant_profile(curve) if v == k]
 
 
 def plane_pencil_bound(curve: CurveRecord, conic: DivisorClass) -> int:

@@ -63,10 +63,6 @@ class LinkageError(LiaisonkitError):
         super().__init__(message)
 
 
-class CharacterError(LiaisonkitError):
-    """A Hilbert-function input does not stabilize to a curve's growth."""
-
-
 class InvalidInvocationError(LiaisonkitError):
     """CLI-level input validation failure (maps to exit code 2)."""
 

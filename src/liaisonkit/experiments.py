@@ -38,6 +38,7 @@ from .surfaces import (
 from .curves import (
     CurveRecord,
     RaoTag,
+    compact_profile,
     disjoint_union,
     k_secant_lines,
     lesperance_curve,
@@ -238,7 +239,7 @@ def _ex3_4():
             [list(h) for h in cands], _derived([[1, 3, 6, 6, 3]])
         ),
         "shared_character": (
-            list(acm_character(cands[0]).values) if cands else [],
+            list(acm_character(cands[0])) if cands else [],
             _derived([-1, -2, -3, 0, 3, 3]),
         ),
     }
@@ -637,8 +638,8 @@ def _ex4_10():
         "d2_dg": (d2.dg, _paper([8, 3])),
         "d1_self": (self_intersection(d1.witness.cls), _paper(12)),
         "d2_self": (self_intersection(d2.witness.cls), _paper(12)),
-        "d1_profile": (multisecant_profile(d1).compact(), _paper("1^8,3^8")),
-        "d2_profile": (multisecant_profile(d2).compact(), _paper("0,1^4,2^6,3^4,4")),
+        "d1_profile": (compact_profile(multisecant_profile(d1)), _paper("1^8,3^8")),
+        "d2_profile": (compact_profile(multisecant_profile(d2)), _paper("0,1^4,2^6,3^4,4")),
         "d1_quadrisecants": (
             [(str(c), f) for c, f in k_secant_lines(d1, 4)],
             _paper([], "no quadrisecant"),
@@ -722,7 +723,7 @@ def divisor_eval(surface: SurfaceModel, cls: DivisorClass) -> dict:
         "expected_dim_linear_system": expected_dim_linear_system(cls, surface),
     }
     if surface.basis == "blownup_plane":
-        out["profile"] = multisecant_profile(record).compact()
+        out["profile"] = compact_profile(multisecant_profile(record))
     else:
         out["profile"] = None
     return out

@@ -1,5 +1,5 @@
 """O-sequences, generic h-vectors of point sets, Gorenstein symmetry
-tests, h-vector linkage, and postulation characters.
+tests, h-vector linkage, and the h-vectors of ACM curves in P4.
 
 Everything operates on short tuples of nonnegative integers; all checks
 are exact.  The Gorenstein test in codimension 3 is the SI-sequence
@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import count, islice
 from math import comb
 
-from .errors import CharacterError, LiaisonkitError, LinkageError, Record, _require_int, _set
+from .errors import LiaisonkitError, LinkageError, Record, _require_int, _set
 
 AMBIENT_CODIM = {"P2": 2, "P3": 3}
 
@@ -209,91 +209,56 @@ def link_h_vector(z: HVector, w: HVector) -> HVector:
     return HVector(tuple(res), ambient_codim=w.ambient_codim)
 
 
-class PostulationCharacter(Record):
-    """Integer sequence gamma(0), gamma(1), ... with sum 0 and weighted
-    sum equal to the curve degree."""
+def acm_character(h) -> tuple[int, ...]:
+    """Postulation character of an ACM curve with h-vector ``h``:
+    gamma(n) = h(n-1) - h(n) for n = 0..len(h), with h zero outside
+    0..len(h)-1.
 
-    __slots__ = ("values", "degree")
-
-    def __init__(self, values: tuple[int, ...], degree: int):
-        values = tuple(values)
-        while values and values[-1] == 0:
-            values = values[:-1]
-        if sum(values) != 0:
-            raise CharacterError(f"character mass {sum(values)} != 0: {values}")
-        if sum(i * v for i, v in enumerate(values)) != degree:
-            raise CharacterError(
-                f"weighted character sum != degree {degree}: {values}"
-            )
-        _set(self, "values", values)
-        _set(self, "degree", degree)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.values) + ")"
-
-
-def character_is_positive(gamma: PostulationCharacter) -> bool:
-    """gamma(0) = -1 and, from the first nonnegative index s0 >= 1 on,
-    every value is nonnegative."""
-    v = gamma.values
-    if not v or v[0] != -1:
-        return False
-    s0 = None
-    for i in range(1, len(v)):
-        if v[i] >= 0:
-            s0 = i
-            break
-    if s0 is None:
-        return True
-    return all(x >= 0 for x in v[s0:])
-
-
-def character_is_connected(gamma: PostulationCharacter) -> bool:
-    """The set of indices with gamma > 0 is an interval."""
-    pos = [i for i, x in enumerate(gamma.values) if x > 0]
-    if not pos:
-        return True
-    return pos[-1] - pos[0] + 1 == len(pos)
-
-
-def acm_character(h) -> PostulationCharacter:
-    """Character of an ACM curve from its h-vector: gamma(n) = h(n-1) - h(n)."""
-    seq = tuple(h.entries if isinstance(h, HVector) else h)
-    values = []
-    for n in range(len(seq) + 1):
-        prev = seq[n - 1] if n - 1 >= 0 else 0
-        cur = seq[n] if n < len(seq) else 0
-        values.append(prev - cur)
-    d = sum(seq)
-    return PostulationCharacter(tuple(values), degree=d)
+    >>> acm_character((1, 3, 6, 6, 3))
+    (-1, -2, -3, 0, 3, 3)
+    """
+    seq = tuple(h)
+    return tuple(a - b for a, b in zip((0,) + seq, seq + (0,)))
 
 
 @lru_cache(maxsize=None)
 def acm_h_vector_candidates(d: int, g: int) -> tuple[tuple[int, ...], ...]:
-    """h-vectors (1, 3, h_2, ...) of integral nondegenerate ACM curves in
-    P4 with the given degree (= mass) and genus (= sum over i >= 2 of
-    (i-1) h_i), filtered to positive connected characters (strictly
-    increasing, then a plateau, then strictly decreasing).
+    """Every O-sequence h = (1, 3, h_2, ..., h_s) with all entries >= 1,
+    mass sum(h) = d, genus sum over i >= 2 of (i-1) h_i = g, and the
+    admitted shape: h rises strictly, then stays level, then falls
+    strictly, the implicit drop to 0 after h_s counting as a fall.  In
+    terms of :func:`acm_character`, gamma(0) = -1, gamma is nonnegative
+    from its first nonnegative index on, and its positive values sit on
+    one interval.  No P4 source is cited for this shape as the admission
+    rule of integral nondegenerate ACM curves in P4.
 
-    Empty result means no integral nondegenerate ACM curve in P4 can have
-    this (degree, genus) pair; in particular every degree below 4.
+    The shape holds for every prefix of an admitted h-vector, so the
+    depth-first walk carries a phase (rising, level or falling) that caps
+    the next entry, and every sequence it completes is admitted.  The
+    walk tries entries in increasing order, so the tuples come sorted.
+    Every degree below 4 gives none.
     """
     results = []
 
-    def rec(seq, mass, genus_acc):
-        if mass == d and genus_acc == g:
-            gamma = acm_character(tuple(seq))
-            if character_is_positive(gamma) and character_is_connected(gamma):
+    def rec(seq, mass, genus_acc, phase):
+        if mass == d:
+            if genus_acc == g:
                 results.append(tuple(seq))
-        i = len(seq)
-        hi_max = min(macaulay_bound(seq[-1], i - 1), d - mass)
+            return
+        i, last = len(seq), seq[-1]
+        hi_max = min(macaulay_bound(last, i - 1), d - mass)
+        if phase == "level":
+            hi_max = min(hi_max, last)
+        elif phase == "falling":
+            hi_max = min(hi_max, last - 1)
         for hi in range(1, hi_max + 1):
-            extra_g = (i - 1) * hi
-            if genus_acc + extra_g > g:
-                continue
-            rec(seq + [hi], mass + hi, genus_acc + extra_g)
+            genus_next = genus_acc + (i - 1) * hi
+            if genus_next > g:
+                break
+            step = "rising" if hi > last else "level" if hi == last else "falling"
+            rec(seq + [hi], mass + hi, genus_next, step)
 
     if d >= 4:
-        rec([1, 3], 4, 0)
+        rec([1, 3], 4, 0, "rising")
     del rec  # a cycle through its own cell: free it now, not at a gc run
-    return tuple(sorted(results))
+    return tuple(results)

@@ -175,6 +175,9 @@ def _parse_record(rec: dict, where: str) -> SurfaceModel:
     except InvalidClassError as exc:
         raise CatalogError(f"{where} ({rec['id']}): {exc}") from exc
     derived = _derived_fields(basis, rec["ambient"], H)
+    # the class searches bound L^2 by the Hodge index theorem, which needs H^2 > 0
+    if derived["degree"] < 1:
+        raise CatalogError(f"{where} ({rec['id']}): H^2 = {derived['degree']} must be >= 1")
     # A record may still store a derived field (catalog v1); it must hold
     # the derived value as JSON would write it, so true or 1.0 is no 1.
     for name, value in derived.items():
@@ -205,9 +208,9 @@ def load_catalog(path: str | None = None) -> dict[str, SurfaceModel]:
     """Load and validate the surface catalog.
 
     ``path`` overrides the packaged data file; a file that cannot be read,
-    is not JSON, or lacks a field or has one of the wrong type raises
-    :class:`CatalogError` naming it.  The result is cached and immutable;
-    concurrent reads are unrestricted.
+    is not JSON, lacks a field, has one of the wrong type or has a record
+    with H^2 < 1 raises :class:`CatalogError` naming it.  The result is
+    cached and immutable; concurrent reads are unrestricted.
     """
     if path is None:
         text = _default_catalog_text()

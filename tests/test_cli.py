@@ -113,12 +113,16 @@ def test_start_with_wrong_coefficient_count_is_invalid_invocation(capsys):
             ["divisor", "eval", "del_pezzo_4", "5;3,1^4,1"],
             "coeffs on del_pezzo_4 needs 6 coefficients, got 7",
         ),
+        (
+            ["divisor", "eval", "cubic_scroll", "1^1000000000000"],
+            "coeffs on cubic_scroll needs 2 coefficients, got 1000000000000",
+        ),
         (["divisor", "eval", "cubic_scroll", "a,b"], "coefficient 'a' must be an integer"),
         (["divisor", "eval", "cubic_scroll", "1.5,0"], "coefficient '1.5' must be an integer"),
     ],
     ids=[
         "start-negative-repeat", "zero-repeat", "negative-repeat", "text-repeat", "wrong-count",
-        "text-coefficient", "fractional-coefficient",
+        "huge-repeat", "text-coefficient", "fractional-coefficient",
     ],
 )
 def test_bad_class_argument_is_invalid_invocation(argv, message, capsys):
@@ -162,9 +166,16 @@ def test_chain_search_on_alternate_catalog(scroll_catalog, capsys):
         ("wrong-degree.json", b'{"surfaces":[{"id":"x","ambient":"P4","basis":"quadric",'
          b'"H":[1,1],"degree":3}]}',
          "field 'degree' stores 3, derived 2"),
+        ("flat.json", b'{"surfaces":[{"id":"flat","ambient":"P4","basis":"blownup_plane",'
+         b'"H":[1,1]}]}',
+         "(flat): H^2 = 0 must be >= 1"),
+        ("negative.json", b'{"surfaces":[{"id":"neg","ambient":"P4","basis":"blownup_plane",'
+         b'"H":[1,1,1]}]}',
+         "(neg): H^2 = -1 must be >= 1"),
     ],
     ids=["missing", "invalid-json", "not-utf8", "no-surfaces", "not-an-object",
-         "no-fields", "mistyped-field", "wrong-degree"],
+         "no-fields", "mistyped-field", "wrong-degree", "h-squared-0",
+         "h-squared-negative"],
 )
 def test_bad_catalog_file_exits_2(argv, name, content, message, tmp_path, capsys):
     catalog = tmp_path / name

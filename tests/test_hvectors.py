@@ -3,7 +3,9 @@
 * Macaulay growth vs explicit lex-ideal monomial counting;
 * generic h-vectors vs the rank of evaluation matrices at random points
   over a large prime field;
-* link involution and mass conservation over a bounded enumeration.
+* link involution and mass conservation over a bounded enumeration;
+* characters vs the Hilbert function, and ACM h-vector candidates vs a
+  scan of all O-sequences filtered by positive, connected characters.
 """
 
 import itertools
@@ -15,14 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liaisonkit import hvectors
-from liaisonkit.errors import CharacterError, LiaisonkitError, LinkageError
+from liaisonkit.errors import LiaisonkitError, LinkageError
 from liaisonkit.hvectors import (
     HVector,
-    PostulationCharacter,
     acm_character,
     acm_h_vector_candidates,
-    character_is_connected,
-    character_is_positive,
     generic_points_h_vector,
     growth_envelope,
     is_gorenstein_h_vector,
@@ -293,16 +292,20 @@ def test_link_involution_and_mass_bounded_enumeration():
     assert checked > 1000
 
 
-def postulation_character(hf) -> PostulationCharacter:
+class CharacterError(ValueError):
+    """A Hilbert-function input does not stabilize to a curve's growth."""
+
+
+def postulation_character(hf) -> tuple[int, ...]:
     """Character of a curve from the Hilbert function of its coordinate
     ring, listed from degree 0: gamma = -(third difference), with the
-    function extended by zero in negative degrees.  The Hilbert-function
-    oracle for ``acm_character``.
+    function extended by zero in negative degrees and trailing zeros
+    trimmed.  The Hilbert-function oracle for ``acm_character``.
 
     The input must reach the stable linear range (two equal consecutive
     first differences at the tail); otherwise a CharacterError is raised.
 
-    >>> postulation_character([1, 2, 3, 4, 5]).values
+    >>> postulation_character([1, 2, 3, 4, 5])
     (-1, 1)
     """
     phi = list(hf)
@@ -314,18 +317,49 @@ def postulation_character(hf) -> PostulationCharacter:
     d3 = [d2[i] - d2[i - 1] for i in range(1, len(d2))]
     if d1[-1] != d1[-2] or d2[-1] != 0:
         raise CharacterError("Hilbert function does not stabilize to linear growth")
-    deg = d1[-1]
-    if deg < 1:
+    if d1[-1] < 1:
         raise CharacterError("stable growth is constant: not a curve")
     gamma = [-x for x in d3]
-    return PostulationCharacter(tuple(gamma), degree=deg)
+    while gamma and gamma[-1] == 0:
+        gamma.pop()
+    return tuple(gamma)
+
+
+def _degree(gamma) -> int:
+    """Curve degree from its character: the weighted sum of gamma(n)."""
+    return sum(i * v for i, v in enumerate(gamma))
+
+
+def character_is_positive(gamma) -> bool:
+    """gamma(0) = -1 and, from the first nonnegative index s0 >= 1 on,
+    every value is nonnegative."""
+    if not gamma or gamma[0] != -1:
+        return False
+    s0 = None
+    for i in range(1, len(gamma)):
+        if gamma[i] >= 0:
+            s0 = i
+            break
+    if s0 is None:
+        return True
+    return all(x >= 0 for x in gamma[s0:])
+
+
+def character_is_connected(gamma) -> bool:
+    """The set of indices with gamma > 0 is an interval."""
+    pos = [i for i, x in enumerate(gamma) if x > 0]
+    if not pos:
+        return True
+    return pos[-1] - pos[0] + 1 == len(pos)
 
 
 def test_character_examples():
     line = postulation_character([1, 2, 3, 4, 5])
-    assert line.values == (-1, 1) and line.degree == 1
+    assert line == (-1, 1) and _degree(line) == 1
     cubic = postulation_character([1, 4, 7, 10, 13])
-    assert cubic.values == (-1, -1, 2) and cubic.degree == 3
+    assert cubic == (-1, -1, 2) and _degree(cubic) == 3
+    assert acm_character((1,)) == line
+    assert acm_character((1, 2)) == cubic
     with pytest.raises(CharacterError):
         postulation_character([1, 1, 1, 1])  # constant: not a curve
     with pytest.raises(CharacterError):
@@ -333,30 +367,30 @@ def test_character_examples():
 
 
 def test_character_predicates():
-    assert character_is_positive(PostulationCharacter((-1, 1), 1))
-    assert character_is_connected(PostulationCharacter((-1, 1), 1))
-    g = PostulationCharacter((-1, -1, 2), 3)
+    assert character_is_positive((-1, 1))
+    assert character_is_connected((-1, 1))
+    g = (-1, -1, 2)
     assert character_is_positive(g) and character_is_connected(g)
-    bad = PostulationCharacter((-1, 1, -1, 1), 2)
+    bad = (-1, 1, -1, 1)
     assert not character_is_positive(bad)
-    gap = PostulationCharacter((-1, -1, 2, -1, 1), 4)
+    gap = (-1, -1, 2, -1, 1)
     assert not character_is_positive(gap)
-    assert not character_is_connected(PostulationCharacter((-1, 0, 1, -1, 1), 3))
+    assert not character_is_connected((-1, 0, 1, -1, 1))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=8), min_size=0, max_size=5))
 @settings(max_examples=500, deadline=None)
 def test_character_roundtrip_invariants(tail):
-    """Characters built from any h-vector satisfy both exact invariants,
-    and the Hilbert-function pipeline reproduces them."""
-    entries = (1,) + tuple(tail)
-    while entries and entries[-1] == 0:
-        entries = entries[:-1]
-    h = entries
+    """Characters built from any h-vector have sum 0 and weighted sum the
+    degree, and the Hilbert-function pipeline reproduces them."""
+    h = (1,) + tuple(tail)
+    while h[-1] == 0:
+        h = h[:-1]
     gamma = acm_character(h)
     d = sum(h)
-    assert sum(gamma.values) == 0
-    assert sum(i * v for i, v in enumerate(gamma.values)) == d
+    assert len(gamma) == len(h) + 1
+    assert sum(gamma) == 0
+    assert _degree(gamma) == d
     # rebuild the Hilbert function by triple summation and re-derive
     hf = []
     acc1 = acc2 = 0
@@ -364,10 +398,7 @@ def test_character_roundtrip_invariants(tail):
         acc1 += h[ell] if ell < len(h) else 0
         acc2 += acc1
         hf.append(acc2)
-    if d >= 1:
-        again = postulation_character(hf)
-        assert again.values == gamma.values
-        assert again.degree == d
+    assert postulation_character(hf) == gamma
 
 
 def test_acm_candidates_examples():
@@ -375,6 +406,40 @@ def test_acm_candidates_examples():
     assert acm_h_vector_candidates(5, 0) == ()
     assert acm_h_vector_candidates(8, 3) == ()
     assert acm_h_vector_candidates(19, 27) == ((1, 3, 6, 6, 3),)
+    assert acm_character((1, 3, 6, 6, 3)) == (-1, -2, -3, 0, 3, 3)
+    assert acm_h_vector_candidates(9, 6) == ((1, 3, 4, 1),)
     for h in acm_h_vector_candidates(9, 6):
         gamma = acm_character(h)
         assert character_is_positive(gamma) and character_is_connected(gamma)
+
+
+def _o_sequences_from_1_3(max_mass: int):
+    """Every O-sequence (1, 3, h_2, ...) with entries >= 1 and mass at most
+    ``max_mass``, each with its mass and genus sum over i >= 2 of (i-1) h_i."""
+    out = []
+
+    def rec(seq, mass, genus):
+        out.append((tuple(seq), mass, genus))
+        i = len(seq)
+        for hi in range(1, min(macaulay_bound(seq[-1], i - 1), max_mass - mass) + 1):
+            rec(seq + [hi], mass + hi, genus + (i - 1) * hi)
+
+    rec([1, 3], 4, 0)
+    return out
+
+
+def test_acm_candidates_equal_the_character_filtered_scan():
+    """Oracle: the phase-pruned walk returns, for every d <= 22 and g in
+    [-3, 79], exactly the O-sequences of mass d and genus g whose
+    character is positive and connected, in sorted order."""
+    scanned = _o_sequences_from_1_3(22)
+    assert all(is_O_sequence(h) for h, _, _ in scanned)
+    admitted: dict[tuple[int, int], list] = {}
+    for h, mass, genus in scanned:
+        gamma = acm_character(h)
+        if character_is_positive(gamma) and character_is_connected(gamma):
+            admitted.setdefault((mass, genus), []).append(h)
+    assert sum(map(len, admitted.values())) < len(scanned)
+    for d in range(23):
+        for g in range(-3, 80):
+            assert acm_h_vector_candidates(d, g) == tuple(sorted(admitted.get((d, g), ())))

@@ -1,4 +1,4 @@
-"""Value semantics of the package's 16 record classes: equality by class
+"""Value semantics of the package's 14 record classes: equality by class
 and fields, hash of the fields, the ``Name(field=value, ...)`` repr,
 refused assignment and deletion, and pickle and deepcopy round trips."""
 
@@ -7,11 +7,11 @@ import pickle
 
 import pytest
 
-from liaisonkit.curves import CurveRecord, RaoTag, SecantProfile, Witness, multisecant_profile
+from liaisonkit.curves import CurveRecord, RaoTag, Witness
 from liaisonkit.errors import FrozenRecordError, Record, _set
 from liaisonkit.experiments import ExperimentReport, RefValue, run_experiment
 from liaisonkit.glicci import PointChain, glicci_chain
-from liaisonkit.hvectors import HVector, PostulationCharacter
+from liaisonkit.hvectors import HVector
 from liaisonkit.lattice import DivisorClass
 from liaisonkit.liaison import BILIAISON, Chain, ChainStep, ascending_chain_search, elementary_biliaison
 from liaisonkit.search import SearchFailure
@@ -25,7 +25,6 @@ STEP = ChainStep(BILIAISON, CONIC, elementary_biliaison(CONIC, 1), h=1)
 SAMPLES = [
     (DivisorClass.blownup((2, 1)), "basis coeffs"),
     (HVector((1, 3, 2, 0)), "entries ambient_codim"),
-    (PostulationCharacter((-1, -1, 2), 3), "values degree"),
     (SCROLL, "id ambient basis blown_points H K degree sectional_genus family_dim "
              "special_position_notes"),
     (lines_on(SCROLL), "classes family_flags"),
@@ -33,7 +32,6 @@ SAMPLES = [
     (RaoTag.m_a(2, shift=1), "kind a shift dualized"),
     (Witness(SCROLL, DivisorClass.blownup((1, 0))), "surface cls"),
     (CONIC, "degree genus witness rao"),
-    (multisecant_profile(CONIC), "entries"),
     (SearchFailure((10, 99), 7, (1, 6), {"max_steps": 4}), "target explored frontier_sizes bounds"),
     (STEP, "kind before after h m"),
     (ascending_chain_search((5, 1)), "steps ascending_only"),
@@ -43,9 +41,8 @@ SAMPLES = [
                               "schema_version"),
 ]
 CLASSES = [
-    DivisorClass, HVector, PostulationCharacter, SurfaceModel, LineClassSet, ScreenRows,
-    RaoTag, Witness, CurveRecord, SecantProfile, SearchFailure, ChainStep, Chain, PointChain,
-    RefValue, ExperimentReport,
+    DivisorClass, HVector, SurfaceModel, LineClassSet, ScreenRows, RaoTag, Witness,
+    CurveRecord, SearchFailure, ChainStep, Chain, PointChain, RefValue, ExperimentReport,
 ]
 
 records = pytest.mark.parametrize(
