@@ -312,10 +312,12 @@ def screened_moves(
     reached by the move ``via`` (``None`` for a root or a table hop).
 
     Biliaisons C + hH come first (heights 1.. up to the degree cap when
-    ``ascending_only``, otherwise -3..3 without 0), then Gorenstein links
-    mH - K - C for m in 1..4 (not when ``ascending_only``).  A candidate
-    is kept when its degree lies in [1, degree_cap], its coefficients in
-    the box, and it passes :func:`is_effective_candidate`.
+    ``ascending_only``, stopping at the first height that takes a
+    coefficient past the box for good; otherwise -3..3 without 0), then
+    Gorenstein links mH - K - C for m in 1..4 (not when
+    ``ascending_only``).  A candidate is kept when its degree lies in
+    [1, degree_cap], its coefficients in the box, and it passes
+    :func:`is_effective_candidate`.
 
     A move whose target the parent P of the state S already offered, or
     which returns to P, is left out.  With S = P + hH, the biliaison h'
@@ -358,6 +360,13 @@ def screened_moves(
             continue
         cand = tuple([x + h * y for x, y in zip(c, H)])
         if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
+            if ascending_only and any(
+                (y > 0 and x > _COEFF_BOX) or (y < 0 and x < -_COEFF_BOX)
+                for x, y in zip(cand, H)
+            ):
+                # c_i + h H_i has left the box on the side H_i moves it
+                # to, so every larger height fails the box too
+                break
             continue
         yield (BILIAISON, h), (surface.id, cand)
     K = surface.K.coeffs

@@ -300,6 +300,17 @@ def test_any_direction_failure_counts():
     assert result.frontier_sizes == (42, 272, 123, 7)
 
 
+def test_a_huge_degree_cap_explores_what_the_coefficient_box_allows():
+    # ascending heights stop at the first one that takes a coefficient past
+    # the box for good, so a degree cap of a million builds the levels a
+    # cap of 200 does
+    far = ascending_chain_search((10**6, 0))
+    near = ascending_chain_search((200, 0))
+    assert isinstance(far, SearchFailure)
+    assert far.explored == near.explored == 890
+    assert far.frontier_sizes == near.frontier_sizes == (42, 727, 121, 0)
+
+
 def test_search_is_invariant_under_input_order():
     surfaces = ["bordiga_6", "castelnuovo_5", "cubic_scroll", "del_pezzo_4"]
     starts = [

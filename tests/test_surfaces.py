@@ -1,6 +1,7 @@
 """Catalog loading, line/conic enumeration, and the derived family
 dimensions, each checked against an independent count where one exists."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from liaisonkit import surfaces
 from liaisonkit.errors import (
     CatalogError,
     LiaisonkitError,
@@ -501,6 +503,32 @@ def test_castelnuovo_degree_9_orbits():
         return size
 
     assert sum(orbit_size(c.coeffs) for c in reps) == 142_354
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    # the orbit build runs with the cyclic collector off, and the caller's
+    # state comes back on return and when the call raises inside the pause
+    seen = []
+    orbit_tuples = surfaces._orbit_tuples
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return orbit_tuples(*args)
+
+    monkeypatch.setattr(surfaces, "_orbit_tuples", spy)
+    dp = get_surface("del_pezzo_4")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(enumerate_classes(dp, 4)) == 131
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+        with pytest.raises(LiaisonkitError):
+            enumerate_classes(dp, 2.0)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 CENSUS_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle" / "class_census.json"
