@@ -22,7 +22,6 @@ from math import comb
 from .errors import InvalidInvocationError, Record, _set
 from .lattice import (
     DivisorClass,
-    arithmetic_genus,
     degree,
     expected_dim_linear_system,
     intersect,
@@ -383,29 +382,48 @@ def _cor2_4():
 
 
 def acm_candidate_pairs(surface_ids, max_degree=9):
-    """(d, g) pairs admitted by the catalog enumeration: some class on an
-    allowed surface passes the effectivity and nondegeneracy screens and
-    the pair carries an integral-type ACM h-vector."""
+    """(d, g) pairs admitted by the catalog enumeration: the pair carries
+    an integral-type ACM h-vector (:func:`acm_h_vector_candidates`) and
+    some class of degree d, genus g and C^2 >= 0 on an allowed surface
+    passes the effectivity and nondegeneracy screens.
+
+    For each surface, degree and ACM genus the classes are walked with
+    the genus pinned, and the first one that passes both screens is the
+    witness; a pair already admitted is not searched again.  The answer
+    only asks whether a witness exists, so it does not depend on which
+    one is found or on the order of the surfaces, and it comes sorted.
+
+    Only g in [0, (d-4)(d-3)/2] is tried, and that range is complete.  An
+    ACM h-vector is (1, 3, h_2, ..., h_s) with every entry >= 1 and genus
+    sum over i >= 2 of (i-1) h_i, so its genus is at least 0 (the
+    h-vector (1, 3)), and at most the genus of (1, 3, 1, ..., 1), which
+    puts the d - 4 remaining units as late as they can go.  Every degree
+    below 4 has no ACM h-vector.
+
+    >>> acm_candidate_pairs(["del_pezzo_4"], 6)
+    [(4, 0), (5, 1), (6, 2)]
+    """
     pairs = set()
     for sid in sorted(surface_ids):
         surface = get_surface(sid)
-        for d in range(1, max_degree + 1):
-            # every test below is constant on an orbit (see surfaces.py)
-            for cls in class_representatives(surface, d, min_self=0):
-                g = arithmetic_genus(cls, surface)
+        for d in range(4, max_degree + 1):
+            for g in range((d - 4) * (d - 3) // 2 + 1):
                 if (d, g) in pairs or not acm_h_vector_candidates(d, g):
                     continue
-                if not is_effective_candidate(surface, cls):
-                    continue
-                residual = surface.H - cls
-                if residual.is_zero():
-                    continue  # the hyperplane section itself is degenerate
-                if degree(residual, surface) > 0:
-                    # nonspecial estimate of h^0(H - C): > 0 means the class
-                    # is plausibly contained in a hyperplane, hence degenerate
-                    if expected_dim_linear_system(residual, surface) + 1 > 0:
+                # every test below is constant on an orbit (see surfaces.py)
+                for cls in class_representatives(surface, d, genus=g, min_self=0):
+                    if not is_effective_candidate(surface, cls):
                         continue
-                pairs.add((d, g))
+                    residual = surface.H - cls
+                    if residual.is_zero():
+                        continue  # the hyperplane section itself is degenerate
+                    if degree(residual, surface) > 0:
+                        # nonspecial estimate of h^0(H - C): > 0 means the class
+                        # is plausibly contained in a hyperplane, hence degenerate
+                        if expected_dim_linear_system(residual, surface) + 1 > 0:
+                            continue
+                    pairs.add((d, g))
+                    break
     return sorted(pairs)
 
 

@@ -1,8 +1,10 @@
 """Every registered experiment reproduces its references, its report
 survives a JSON round trip, and its JSON matches the frozen
 ``experiment run all --format json`` output of the benchmark oracle.
-Reports derive their matches from the rows an experiment returns."""
+Reports derive their matches from the rows an experiment returns.
+Admission of (d, g) pairs agrees with the genus-free floor-list scan."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -16,7 +18,16 @@ from liaisonkit.experiments import (
     ExperimentReport,
     RefValue,
     _component_degrees,
+    acm_candidate_pairs,
     run_experiment,
+)
+from liaisonkit.hvectors import acm_h_vector_candidates
+from liaisonkit.lattice import arithmetic_genus, degree, expected_dim_linear_system
+from liaisonkit.surfaces import (
+    class_representatives,
+    get_surface,
+    is_effective_candidate,
+    load_catalog,
 )
 
 # the reports of `experiment run all --format json`, runtime_seconds lines removed
@@ -82,3 +93,45 @@ def test_ex4_8_separates_the_constructions_by_component_degrees():
     # the invariant compares constructions, not calls: b(2, 2) is one family
     assert _component_degrees(lesperance_parts("b", 2, 2)) == two_conics
     assert run_experiment("ex4.8").computed["distinct_constructions"] is True
+
+
+def _floor_list_pairs(sid, max_degree):
+    """Oracle: admission on one surface by the floor-list scan, which lists
+    every C^2 >= 0 representative of every degree and genus and computes
+    each one's genus before the h-vector and screen tests."""
+    surface = get_surface(sid)
+    pairs = set()
+    for d in range(1, max_degree + 1):
+        for cls in class_representatives(surface, d, min_self=0):
+            g = arithmetic_genus(cls, surface)
+            if (d, g) in pairs or not acm_h_vector_candidates(d, g):
+                continue
+            if not is_effective_candidate(surface, cls):
+                continue
+            residual = surface.H - cls
+            if residual.is_zero():
+                continue
+            if degree(residual, surface) > 0:
+                if expected_dim_linear_system(residual, surface) + 1 > 0:
+                    continue
+            pairs.add((d, g))
+    return pairs
+
+
+def test_admission_equals_the_floor_list_scan(frozen_reports):
+    """A pair is admitted when some surface of the set has a witness, so
+    the oracle of a set is the union of its surfaces' scans."""
+    ids = list(load_catalog())
+    p4 = ("cubic_scroll", "del_pezzo_4", "castelnuovo_5", "bordiga_6")
+    for max_degree in (9, 12):
+        single = {sid: _floor_list_pairs(sid, max_degree) for sid in ids}
+        subsets = [(sid,) for sid in ids] + list(itertools.combinations(ids, 2)) + [p4]
+        for subset in subsets:
+            expected = sorted(set().union(*(single[sid] for sid in subset)))
+            assert acm_candidate_pairs(subset, max_degree) == expected, (subset, max_degree)
+    trio = ("cubic_scroll", "del_pezzo_4", "castelnuovo_5")
+    frozen = frozen_reports["prop3.1"]["computed"]["admitted_pairs"]
+    assert [list(p) for p in acm_candidate_pairs(trio, 9)] == frozen
+    assert len(frozen) == 9
+    assert len(acm_candidate_pairs(p4, 12)) == 23
+    assert len(acm_candidate_pairs(p4, 14)) == 35

@@ -434,6 +434,8 @@ def test_acm_candidates_equal_the_character_filtered_scan():
     character is positive and connected, in sorted order."""
     scanned = _o_sequences_from_1_3(22)
     assert all(is_O_sequence(h) for h, _, _ in scanned)
+    # the genus range that experiments.acm_candidate_pairs walks
+    assert all(0 <= genus <= (mass - 4) * (mass - 3) // 2 for _, mass, genus in scanned)
     admitted: dict[tuple[int, int], list] = {}
     for h, mass, genus in scanned:
         gamma = acm_character(h)
