@@ -338,25 +338,23 @@ def _prop2_2():
 
 
 def _prop2_3():
-    ok = True
-    n18 = None
-    for n in range(1, 20):
-        chain = glicci_chain(n, ambient="P3", surface_degree=3)
-        if not chain.found:
-            ok = False
-            continue
-        if n == 18:
-            n18 = chain
+    chains = [glicci_chain(n, ambient="P3", surface_degree=3) for n in range(1, 20)]
+    n18 = chains[17]
+    # no n = 18 chain: its rows read None, so the paper row reports a mismatch
+    found = n18.found
     return "Proposition 2.3", {
-        "all_succeed_up_to_19": (ok, _paper(True, "connected through general points")),
+        "all_succeed_up_to_19": (
+            all(c.found for c in chains), _paper(True, "connected through general points")
+        ),
         "paper_intermediate_counts": (
             NOT_RECOMPUTED,
             _paper([20, 28], "not recomputed: the route reported in the source"),
         ),
-        "n18_point_counts": (list(n18.counts), None),
-        "n18_link_masses": ([w.mass for w in n18.links], None),
+        "n18_point_counts": (list(n18.counts) if found else None, None),
+        "n18_link_masses": ([w.mass for w in n18.links] if found else None, None),
         "n18_intermediates_exceed_18": (
-            n18.exceeds_start, _paper(True, "one has to link up before linking down")
+            n18.exceeds_start if found else None,
+            _paper(True, "one has to link up before linking down"),
         ),
     }
 

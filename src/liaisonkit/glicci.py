@@ -4,8 +4,10 @@ points to a single point by Gorenstein links.
 States are point counts carrying their generic h-vectors; a move links
 the current configuration through an enumerated Gorenstein h-vector and
 must land on another generic configuration: only generic residuals are
-admissible.  Chains are always re-validated step by step before being
-returned.
+admissible.  Each move is decided by one exact residual test, with no
+linkage call (see ``_moves``); the tests keep the full ``link_h_vector``
+scan as its oracle.  ``PointChain.validate`` re-links every step of
+every returned chain, so certification sits in one place.
 
 Three process-global caches, filled on first use and never cleared,
 serve every chain: the Gorenstein tables (``_gorenstein_h_vectors``),
@@ -217,16 +219,17 @@ def _moves(
     r(i) = w(i) - z(s - i), i = 0..s, has mass m2 = mass(w) - m exactly,
     because len(w) >= len(z) (w contains z) puts every entry of z in the
     sum.  So the range and new-target checks run on m2 before r is
-    formed.  A survivor is screened by r itself: with trailing zeros
-    trimmed it must be the generic vector of m2 points, and only a w that
-    passes is handed to ``link_h_vector``.  The screen rejects no move
-    that ``link_h_vector`` would accept: w is Gorenstein (the table is
-    built so) and contains z (``ag_candidates_containing`` checked it), so
-    the link succeeds exactly when r is nonnegative, starts with 1 and is
-    an O-sequence, and then returns r.  A generic vector has all three
-    properties, so the link lands on generic m2 points iff r equals that
-    vector, and the first w per target is the one a full
-    ``link_h_vector`` scan would keep.
+    formed.  A survivor is decided by r alone: w is the move to m2 iff r
+    is the generic vector of m2 points followed only by zeros.  The test
+    is exact, so no linkage call follows it: w is Gorenstein (the table
+    is built so) and contains z (``ag_candidates_containing`` checked
+    it), so ``link_h_vector(z, w)`` succeeds exactly when r is
+    nonnegative, starts with 1 and is an O-sequence, and then returns r
+    trimmed of trailing zeros.  A generic vector has all three
+    properties, so the link lands on generic m2 points iff r passes, and
+    the first w per target is the one a full ``link_h_vector`` scan would
+    keep; the tests hold that scan as the oracle of this list, and
+    ``PointChain.validate`` re-links every step of every returned chain.
 
     A chain capped at ``max_intermediate`` reads the prefix with
     m2 <= max_intermediate - m of the list for ``_mass_cap`` of that cap.
@@ -254,13 +257,7 @@ def _moves(
         # z(s - i) for i = 0..s: z reversed, zero-padded to len(w)
         r = tuple(map(sub, we, (0,) * (len(we) - len(ze)) + rz))
         g = _generic(m2, ambient, surface_degree).entries
-        if r[: len(g)] != g or any(r[len(g) :]):
-            continue
-        try:
-            res = link_h_vector(z, w)
-        except LinkageError:
-            continue
-        if res.entries == g:
+        if r[: len(g)] == g and not any(r[len(g) :]):
             targets[m2] = w
     return tuple((w, m2) for m2, w in sorted(targets.items()))
 

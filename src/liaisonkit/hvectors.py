@@ -41,9 +41,6 @@ class HVector(Record):
     def mass(self) -> int:
         return sum(self.entries)
 
-    def get(self, i: int) -> int:
-        return self.entries[i] if 0 <= i < len(self.entries) else 0
-
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.entries) + ")"
 

@@ -142,7 +142,7 @@ def _derived_fields(basis: str, ambient: str, H: DivisorClass) -> dict:
 # field: (test, what the test wants)
 _REQUIRED_FIELDS = {
     "id": (lambda v: isinstance(v, str), "a string"),
-    "ambient": (lambda v: isinstance(v, str), "a string"),
+    "ambient": (lambda v: v in ("P2", "P3", "P4"), "'P2', 'P3' or 'P4'"),
     "basis": (lambda v: v in (BLOWNUP_PLANE, QUADRIC), f"{BLOWNUP_PLANE!r} or {QUADRIC!r}"),
     "H": (lambda v: isinstance(v, list) and all(type(x) is int for x in v),
           "a list of integers"),
@@ -209,7 +209,8 @@ def load_catalog(path: str | None = None) -> dict[str, SurfaceModel]:
     """Load and validate the surface catalog.
 
     ``path`` overrides the packaged data file; a file that cannot be read,
-    is not JSON, lacks a field, has one of the wrong type or has a record
+    is not JSON, lacks a field, has one of the wrong type, has an
+    ``ambient`` other than P2, P3 or P4 (case matters) or has a record
     with H^2 < 1 raises :class:`CatalogError` naming it.  The result is
     cached and immutable; concurrent reads are unrestricted.
     """

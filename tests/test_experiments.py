@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from liaisonkit import experiments
+from liaisonkit import cli, experiments
 from liaisonkit.curves import CurveRecord, RaoTag, lesperance_curve, lesperance_parts
 from liaisonkit.experiments import (
     NOT_RECOMPUTED,
@@ -23,6 +23,7 @@ from liaisonkit.experiments import (
 )
 from liaisonkit.hvectors import acm_h_vector_candidates
 from liaisonkit.lattice import arithmetic_genus, degree, expected_dim_linear_system
+from liaisonkit.search import SearchFailure
 from liaisonkit.surfaces import (
     class_representatives,
     get_surface,
@@ -81,6 +82,22 @@ def test_report_derives_matches_from_rows(monkeypatch):
     restored = ExperimentReport.from_dict(data)
     assert restored == report
     assert restored.matches["disagrees"] is False
+
+
+def test_prop2_3_reports_a_missing_n18_chain_as_a_mismatch(monkeypatch, capsys):
+    real = experiments.glicci_chain
+
+    def no_n18(n, **kwargs):
+        return SearchFailure(target=n, explored=0) if n == 18 else real(n, **kwargs)
+
+    monkeypatch.setattr(experiments, "glicci_chain", no_n18)
+    code = cli.main(["experiment", "run", "prop2.3", "--format", "json"])
+    assert code == cli.EXIT_MISMATCH
+    report = json.loads(capsys.readouterr().out)
+    n18_rows = ("n18_point_counts", "n18_link_masses", "n18_intermediates_exceed_18")
+    assert [report["computed"][k] for k in n18_rows] == [None, None, None]
+    assert report["matches"]["n18_intermediates_exceed_18"] is False
+    assert report["matches"]["all_succeed_up_to_19"] is False
 
 
 def test_ex4_8_separates_the_constructions_by_component_degrees():

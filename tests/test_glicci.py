@@ -1,5 +1,6 @@
-"""Point-configuration link chains: candidate enumeration, the small-n
-exhaustive oracle, step re-validation, and pinned chains."""
+"""Point-configuration link chains: candidate enumeration, move lists
+against the full link scan, the small-n exhaustive oracle, step
+re-validation, and pinned chains."""
 
 import gc
 import itertools
@@ -25,6 +26,7 @@ from liaisonkit.hvectors import (
     HVector,
     acm_h_vector_candidates,
     generic_points_h_vector,
+    growth_envelope,
     is_gorenstein_h_vector,
     link_h_vector,
 )
@@ -48,7 +50,7 @@ def test_ag_candidates_sorted_and_valid():
     assert entries == sorted(entries)
     for w in cands:
         assert is_gorenstein_h_vector(w)
-        assert w.get(1) >= 2
+        assert w.entries[1] >= 2
 
 
 def test_ag_candidates_rejects_small_budget():
@@ -201,6 +203,48 @@ def test_warm_move_cache_equals_cold():
     assert [warm[i] for i in range(len(inputs))] == cold
     assert any("SearchFailure" in r for r in cold)
     assert any("PointChain" in r for r in cold)
+
+
+def _link_scan(m, ambient, surface_degree, socle_bound, cap):
+    """The move list by full linkage (reference): per candidate within the
+    envelope, link through w and keep the first w per m2 whose residual is
+    the generic vector of m2 points."""
+    z = generic_points_h_vector(m, ambient, surface_degree=surface_degree)
+    envelope = None
+    if surface_degree is not None:
+        envelope = growth_envelope(socle_bound + 2, ambient, surface_degree)
+    targets = {}
+    for w in ag_candidates_containing(z, cap, socle_bound):
+        if envelope is not None and any(v > envelope[i] for i, v in enumerate(w.entries)):
+            continue
+        try:
+            res = link_h_vector(z, w)
+        except LinkageError:
+            continue
+        m2 = res.mass
+        generic = generic_points_h_vector(m2, ambient, surface_degree=surface_degree)
+        if m2 not in targets and res == generic:
+            targets[m2] = w
+    return tuple((w, m2) for m2, w in sorted(targets.items()))
+
+
+def test_moves_equal_the_link_scan():
+    # the residual test of _moves decides each move exactly as a full
+    # link_h_vector scan does, at power-of-two and saturated caps
+    compared = 0
+    for ambient, surface_degree, codim in (
+        ("P2", None, 2),
+        ("P3", None, 3),
+        ("P3", 2, 3),
+        ("P3", 3, 3),
+    ):
+        domain = [(s, cap) for s in (3, 6, 12) for cap in (16, _saturation(codim, s))]
+        for socle_bound, cap in domain + [(20, 32)]:
+            for m in range(1, min(cap, 30) + 1):
+                args = (m, ambient, surface_degree, socle_bound, cap)
+                assert _moves(*args) == _link_scan(*args), args
+                compared += 1
+    assert compared > 500
 
 
 def _brute_force_glicci_reachable(n, max_mass, socle_bound=6, max_depth=4):

@@ -634,6 +634,10 @@ def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
         ('{"surfaces": [3]}', "surface 0: a surface record must be an object"),
         ('{"surfaces": [{"id": "x", "ambient": "P4"}]}', "missing field 'basis'"),
         (
+            '{"surfaces": [{"id": "x", "ambient": "p4", "basis": "quadric", "H": [1, 1]}]}',
+            "surface 0: field 'ambient' must be 'P2', 'P3' or 'P4', got 'p4'",
+        ),
+        (
             '{"surfaces": [{"id": "x", "ambient": "P4", "basis": "quadric", "H": [1, 1], '
             '"K": [-2, -2], "degree": 2, "sectional_genus": 0, "family_dim": "9"}]}',
             "surface 0 \\(x\\): field 'family_dim' stores '9', derived 13",
@@ -645,7 +649,7 @@ def test_catalog_loader_rejects_bad_canonical_class(tmp_path):
         ),
     ],
     ids=["missing", "invalid-json", "surfaces-not-a-list", "record-not-an-object",
-         "no-basis", "mistyped-optional-field", "empty-H"],
+         "no-basis", "unknown-ambient", "mistyped-optional-field", "empty-H"],
 )
 def test_catalog_loader_names_an_unusable_file(content, message, tmp_path):
     path = tmp_path / "catalog.json"
