@@ -84,6 +84,7 @@ def _emit_failure(result, fmt: str) -> int:
 
 def _cmd_surface_show(args) -> int:
     s = get_surface(args.id, args.catalog)
+    lcs = lines_on(s)
     data = {
         "id": s.id,
         "ambient": s.ambient,
@@ -95,12 +96,10 @@ def _cmd_surface_show(args) -> int:
         "sectional_genus": s.sectional_genus,
         "family_dim": s.family_dim,
         "notes": list(s.special_position_notes),
+        "lines": [f"{c} [{f}]" for c, f in lcs.pairs()],
+        "line_count": len(lcs),
+        "conics": [str(c) for c in conic_classes(s)],
     }
-    if s.basis == "blownup_plane":
-        lcs = lines_on(s)
-        data["lines"] = [f"{c} [{f}]" for c, f in lcs.pairs()]
-        data["line_count"] = len(lcs)
-        data["conics"] = [str(c) for c in conic_classes(s)]
     _emit(data, args.format)
     return EXIT_OK
 
@@ -141,7 +140,7 @@ def _cmd_biliaison_chain(args) -> int:
             raise
         raise InvalidInvocationError(
             f"{exc}: use --start SURFACE:COEFFS, "
-            "e.g. --start quadric_p3:1,0 for a ruling of the quadric"
+            "e.g. --start plane_p2:1 for a line of the plane"
         ) from None
     if not result.found:
         return _emit_failure(result, args.format)

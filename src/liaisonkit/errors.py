@@ -45,7 +45,8 @@ class CatalogError(LiaisonkitError):
 
 
 class UnsupportedSurfaceError(LiaisonkitError):
-    """Operation not defined for this surface (wrong lattice or ambient)."""
+    """Operation not defined for this surface: a family dimension off P4,
+    or default line seeds on surfaces that carry no line class."""
 
 
 class MissingWitnessError(LiaisonkitError):

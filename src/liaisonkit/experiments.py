@@ -728,18 +728,15 @@ def run_experiment(experiment_id: str) -> ExperimentReport:
 def divisor_eval(surface: SurfaceModel, cls: DivisorClass) -> dict:
     """One-shot calculator for a class on ``surface``: degree, genus,
     self-intersection, dimension estimate, and the multisecant profile
-    where lines are enumerable."""
+    over the classes of :func:`~liaisonkit.surfaces.lines_on` (empty on a
+    surface with no lines)."""
     record = CurveRecord.on_surface(surface, cls)
-    out = {
+    return {
         "surface": surface.id,
         "class": str(cls),
         "degree": record.degree,
         "genus": record.genus,
         "self_intersection": self_intersection(cls),
         "expected_dim_linear_system": expected_dim_linear_system(cls, surface),
+        "profile": compact_profile(multisecant_profile(record)),
     }
-    if surface.basis == "blownup_plane":
-        out["profile"] = compact_profile(multisecant_profile(record))
-    else:
-        out["profile"] = None
-    return out

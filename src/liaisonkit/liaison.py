@@ -21,7 +21,6 @@ from .errors import (
     _set,
 )
 from .lattice import (
-    BLOWNUP_PLANE,
     DivisorClass,
     arithmetic_genus,
     degree,
@@ -251,11 +250,7 @@ _FRESH_MOVES = {None: (_HEIGHTS, _TWISTS)} | {
 
 def _default_surfaces(catalog_path: str | None = None) -> list[str]:
     catalog = load_catalog(catalog_path)
-    return sorted(
-        sid
-        for sid, s in catalog.items()
-        if s.ambient == "P4" and s.basis == "blownup_plane"
-    )
+    return sorted(sid for sid, s in catalog.items() if s.ambient == "P4")
 
 
 def _dg(inv) -> tuple[int, int]:
@@ -278,22 +273,30 @@ def moved_invariants(rows: ScreenRows, inv, move):
 
         m H^2 - H.K - deg,  D^2 - 2(m deg - C.K) + C^2,  m H.K - K^2 - C.K,
         m - k_max,  m - p_min.
+
+    On a surface with no lines p_min and k_max are ``math.inf`` and
+    ``-math.inf``, and these formulas keep them so.  Here and in
+    :func:`screened_moves` they meet only integer addition, subtraction
+    and comparison, which are exact on an infinity, so finite values stay
+    ints and an infinite bound never rejects a move.
     """
     deg, c2, ck, p_min, k_max = inv
     kind, x = move
     if kind == BILIAISON:
-        if p_min is not None:
-            p_min, k_max = p_min + x, k_max + x
-        return deg + x * rows.hh, c2 + x * (2 * deg + x * rows.hh), ck + x * rows.hk, p_min, k_max
-    if p_min is not None:
-        p_min, k_max = x - k_max, x - p_min
+        return (
+            deg + x * rows.hh,
+            c2 + x * (2 * deg + x * rows.hh),
+            ck + x * rows.hk,
+            p_min + x,
+            k_max + x,
+        )
     d2 = x * (x * rows.hh - 2 * rows.hk) + rows.kk
     return (
         x * rows.hh - rows.hk - deg,
         d2 - 2 * (x * deg - ck) + c2,
         x * rows.hk - rows.kk - ck,
-        p_min,
-        k_max,
+        x - k_max,
+        x - p_min,
     )
 
 
@@ -341,7 +344,8 @@ def screened_moves(
     the degrees are deg + h H^2 and m H^2 - H.K - deg, and the screen is
     p_min + h >= 0 for a biliaison and m >= k_max for a link; its degree
     test is the lower end of the window.  The kept moves are those of the
-    class-level screen.
+    class-level screen.  On a surface with no lines p_min is ``math.inf``
+    and k_max is ``-math.inf``, so only the degree and the box decide.
     """
     hh = rows.hh
     deg, _, _, p_min, k_max = inv
@@ -356,7 +360,7 @@ def screened_moves(
     for h in heights:
         if not 1 <= deg + h * hh <= degree_cap:
             continue
-        if p_min is not None and p_min + h < 0:
+        if p_min + h < 0:
             continue
         cand = tuple([x + h * y for x, y in zip(c, H)])
         if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
@@ -373,7 +377,7 @@ def screened_moves(
     for m in twists:
         if not 1 <= m * hh - rows.hk - deg <= degree_cap:
             continue
-        if k_max is not None and m < k_max:
+        if m < k_max:
             continue
         cand = tuple([m * y - k - x for x, y, k in zip(c, H, K)])
         if min(cand) < -_COEFF_BOX or max(cand) > _COEFF_BOX:
@@ -408,11 +412,7 @@ class _Exploration:
         for dg, entries in REWITNESS_TABLE.items():
             for sid, coeffs in entries:
                 surface = self.models.get(sid)
-                if (
-                    surface is None
-                    or surface.basis != BLOWNUP_PLANE
-                    or len(coeffs) != len(surface.H.coeffs)
-                ):
+                if surface is None or len(coeffs) != len(surface.H.coeffs):
                     continue
                 hop = self.rows[sid].invariants(coeffs)
                 if _dg(hop) == dg:
@@ -422,12 +422,6 @@ class _Exploration:
         if seeds is None:
             inv = {}
             for sid, surface in self.models.items():
-                if surface.basis != BLOWNUP_PLANE:
-                    raise UnsupportedSurfaceError(
-                        f"{sid} has no default line seeds (lines are enumerated on "
-                        f"blownup_plane lattices only; {sid} is a {surface.basis}), "
-                        "so starts must be given"
-                    )
                 for line, line_inv in zip(
                     lines_on(surface).classes, self.rows[sid].line_invariants
                 ):
@@ -550,11 +544,10 @@ def ascending_chain_search(
     [1, 4]; see :func:`screened_moves`), and zero-cost re-witness hops
     through the shipped table.  Starts default to every line class on
     every allowed surface, and
-    :class:`~liaisonkit.errors.UnsupportedSurfaceError` is raised when an
-    allowed surface is not a blown-up plane or when none carries a line
-    class.  Surface ids resolve in the catalog at ``catalog_path`` (the
-    packaged one by default); a table hop is skipped when its class has
-    another (d, g) on that catalog's model.
+    :class:`~liaisonkit.errors.UnsupportedSurfaceError` is raised when
+    none carries a line class.  Surface ids resolve in the catalog at
+    ``catalog_path`` (the packaged one by default); a table hop is skipped
+    when its class has another (d, g) on that catalog's model.
 
     Levels follow the determinism rule of :mod:`liaisonkit.search`, and
     the lowest sorted state of the target's (d, g) at the first level

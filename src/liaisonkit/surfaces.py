@@ -23,7 +23,6 @@ from .errors import (
     InvalidClassError,
     Record,
     UnknownSurfaceError,
-    UnsupportedSurfaceError,
     _require_int,
     _set,
 )
@@ -574,23 +573,23 @@ def enumerate_classes(
 
 @lru_cache(maxsize=None)
 def lines_on(surface: SurfaceModel) -> LineClassSet:
-    """Exhaustive set of line classes: L.H = 1, genus 0, L^2 in {-1, 0}.
+    """Exhaustive set of line classes: L.H = 1, genus 0, L^2 in {-1, 0},
+    on every lattice.
 
-    Only blown-up-plane lattices carry the enumeration; the search bound
-    is the signature inequality documented above.  The floor -1 list of
-    degree-1, genus-0 classes is filtered here to L^2 <= 0: by the Hodge
-    index theorem a degree-1 class has L^2 <= 1/H^2, so the filter drops
-    a class only on plane_p2 (H^2 = 1), the class (1;) of a line of P2,
-    which moves in a two-parameter family and is not one of these lines.
+    The search bound is the signature inequality documented above.  The
+    floor -1 list of degree-1, genus-0 classes is filtered here to
+    L^2 <= 0: by the Hodge index theorem a degree-1 class has
+    L^2 <= 1/H^2, so the filter drops a class only on plane_p2 (H^2 = 1),
+    the class (1;) of a line of P2, which moves in a two-parameter family
+    and is not one of these lines.  On the quadric the list is its two
+    rulings, both with L^2 = 0.
 
     >>> scroll = get_surface("cubic_scroll")
     >>> [str(c) for c in lines_on(scroll).classes]
     ['(0;-1)', '(1;1)']
+    >>> [(str(c), f) for c, f in lines_on(get_surface("quadric_p3")).pairs()]
+    [('(0,1)', 'one_parameter'), ('(1,0)', 'one_parameter')]
     """
-    if surface.basis != BLOWNUP_PLANE:
-        raise UnsupportedSurfaceError(
-            f"line enumeration needs a blownup_plane lattice, got {surface.basis}"
-        )
     classes = [
         c for c in enumerate_classes(surface, 1, genus=0, min_self=-1)
         if self_intersection(c) <= 0
@@ -611,9 +610,9 @@ class ScreenRows(Record):
     ``row`` is the dual row of ``y``.
 
     ``H``, ``K`` and ``lines`` are the dual rows of the hyperplane class,
-    the canonical class and each class of :func:`lines_on` (none on the
-    quadric); ``form`` lists the nonzero entries ``(i, j, u_i . u_j)`` of
-    the dual rows of the unit classes u, so
+    the canonical class and each class of :func:`lines_on`; ``form``
+    lists the nonzero entries ``(i, j, u_i . u_j)`` of the dual rows of
+    the unit classes u, so
     ``x . x == sum(v * x[i] * x[j] for i, j, v in form)``.  ``hh`` is
     H^2, ``hk`` is H.K, ``kk`` is K^2, ``line_k`` holds each L.K and
     ``line_invariants`` the :meth:`invariants` of each line class.
@@ -646,7 +645,9 @@ class ScreenRows(Record):
     def invariants(self, c) -> tuple:
         """``(C.H, C^2, C.K, p_min, k_max)`` of the class with coefficients
         ``c``, where p_min = min_L L.C and k_max = max_L (L.K + L.C) over
-        the lines L; both are None when there are no lines (the quadric, P2).
+        the lines L.  On a surface with no lines (plane_p2) they are the
+        min and max over an empty set, ``math.inf`` and ``-math.inf``;
+        otherwise they are ints.
 
         >>> screen_rows(get_surface("cubic_scroll")).invariants((2, 1))
         (3, 3, -5, 1, 0)
@@ -656,8 +657,8 @@ class ScreenRows(Record):
             _dot(c, self.H),
             sum(v * c[i] * c[j] for i, j, v in self.form),
             _dot(c, self.K),
-            min(prods) if prods else None,
-            max(map(add, self.line_k, prods)) if prods else None,
+            min(prods, default=math.inf),
+            max(map(add, self.line_k, prods), default=-math.inf),
         )
 
 
@@ -665,13 +666,16 @@ class ScreenRows(Record):
 def screen_rows(surface: SurfaceModel) -> ScreenRows:
     """The :class:`ScreenRows` of ``surface``; every entry is an
     ``intersect`` value or computed from them, so the form keeps its
-    single definition.
+    single definition.  The line rows are those of :func:`lines_on` on
+    every lattice; on the quadric they are the rulings' rows.
 
     >>> rows = screen_rows(get_surface("cubic_scroll"))
     >>> rows.H, rows.lines, rows.line_k
     ((2, -1), ((0, 1), (1, -1)), (-1, -2))
     >>> rows.line_invariants
     ((1, -1, -1, -1, -1), (1, 0, -2, 0, 0))
+    >>> screen_rows(get_surface("quadric_p3")).line_invariants
+    ((1, 0, -2, 0, -1), (1, 0, -2, 0, -1))
     """
     rank = len(surface.H.coeffs)
     units = [
@@ -682,7 +686,7 @@ def screen_rows(surface: SurfaceModel) -> ScreenRows:
     def row(y: DivisorClass) -> tuple[int, ...]:
         return tuple(intersect(u, y) for u in units)
 
-    lines = lines_on(surface).classes if surface.basis == BLOWNUP_PLANE else ()
+    lines = lines_on(surface).classes
     fields = dict(
         H=row(surface.H),
         K=row(surface.K),
@@ -710,13 +714,16 @@ def conic_classes(surface: SurfaceModel) -> tuple[DivisorClass, ...]:
 
 def is_effective_candidate(surface: SurfaceModel, c: DivisorClass) -> bool:
     """Cheap necessary screen for effectivity of a moving class: positive
-    degree and nonnegative intersection with every enumerated line class.
+    degree and nonnegative intersection with every class of
+    :func:`lines_on`.
 
     Classes with a fixed negative component (the lines themselves) fail;
-    the screen targets the intermediate classes of chain searches.
+    the screen targets the intermediate classes of chain searches.  On
+    the quadric, whose lines are the rulings (1,0) and (0,1), a class
+    (a,b) passes exactly when a, b >= 0 and a + b >= 1: the nonzero
+    effective classes of P1 x P1.  On a surface with no lines (plane_p2)
+    only the degree is tested.
     """
     if degree(c, surface) < 1:
         return False
-    if surface.basis != BLOWNUP_PLANE:
-        return True
     return all(intersect(c, line) >= 0 for line in lines_on(surface).classes)

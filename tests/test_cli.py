@@ -37,6 +37,14 @@ def test_divisor_eval_on_alternate_catalog(scroll_catalog, capsys):
     assert (out["degree"], out["genus"], out["profile"]) == (3, 0, "1^2")
 
 
+def test_divisor_eval_profiles_a_ruling_of_the_quadric(capsys):
+    # a ruling meets the other ruling once and its own ruling not at all
+    code = cli.main(["divisor", "eval", "quadric_p3", "1,0", "--format", "json"])
+    assert code == cli.EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert (out["degree"], out["genus"], out["profile"]) == (1, 0, "0,1")
+
+
 @pytest.mark.parametrize("target", ["10", "a,b", "1,2,3"])
 def test_bad_target_is_invalid_invocation(target, capsys):
     code = cli.main(["biliaison", "chain", "--target", target])
@@ -76,12 +84,14 @@ def test_start_seed_on_the_quadric_lattice(capsys):
 
 
 @pytest.mark.parametrize("surfaces", ["quadric_p3", "cubic_scroll,quadric_p3"])
-def test_chain_on_the_quadric_without_start_is_invalid_invocation(surfaces, capsys):
-    code = cli.main(["biliaison", "chain", "--target", "3,0", "--surfaces", surfaces])
-    assert code == cli.EXIT_INVALID
-    err = capsys.readouterr().err
-    assert "quadric_p3 has no default line seeds" in err
-    assert "--start quadric_p3:1,0" in err
+def test_chain_on_the_quadric_starts_from_a_ruling(surfaces, capsys):
+    code = cli.main(
+        ["biliaison", "chain", "--target", "3,0", "--surfaces", surfaces, "--format", "json"]
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["chain"] == [
+        "(0,1) --biliaison h=1 on quadric_p3--> (1,2) (3, 0)"
+    ]
 
 
 def test_chain_on_surfaces_without_lines_is_invalid_invocation(capsys):
@@ -90,6 +100,7 @@ def test_chain_on_surfaces_without_lines_is_invalid_invocation(capsys):
     captured = capsys.readouterr()
     assert "no line classes on plane_p2" in captured.err
     assert "--start SURFACE:COEFFS" in captured.err
+    assert "--start plane_p2:1" in captured.err
     assert captured.out == ""
 
 
@@ -205,7 +216,7 @@ SURFACE_SHOW = {
 }
 
 
-# surface: (line_count, number of conics); the quadric prints neither
+# surface: (line_count, number of conics)
 LINES_AND_CONICS = {
     "cubic_scroll": (2, 1),
     "del_pezzo_4": (16, 10),
@@ -213,6 +224,7 @@ LINES_AND_CONICS = {
     "bordiga_6": (10, 0),
     "cubic_surface_p3": (27, 27),
     "plane_p2": (0, 1),
+    "quadric_p3": (2, 1),
 }
 
 
@@ -222,10 +234,7 @@ def test_surface_show_prints_the_derived_fields(sid, capsys):
     out = json.loads(capsys.readouterr().out)
     fields = ("blown_points", "K", "degree", "sectional_genus", "family_dim")
     assert tuple(out[f] for f in fields) == SURFACE_SHOW[sid]
-    if sid == "quadric_p3":
-        assert "line_count" not in out and "conics" not in out
-    else:
-        assert (out["line_count"], len(out["conics"])) == LINES_AND_CONICS[sid]
+    assert (out["line_count"], len(out["conics"])) == LINES_AND_CONICS[sid]
 
 
 def test_failed_chain_search_exits_1(capsys):

@@ -3,6 +3,7 @@ of the biliaison update formula against adjunction, the G-link
 involution, and search determinism."""
 
 import json
+import math
 import random
 from collections import Counter
 from importlib import resources
@@ -244,8 +245,9 @@ def test_search_rejects_bad_input():
         ascending_chain_search((5, 0), surfaces=["cubic_scroll"], starts=[])
     with pytest.raises(MissingWitnessError):
         ascending_chain_search((5, 0), starts=[CurveRecord.abstract(2, -1)])
-    with pytest.raises(UnsupportedSurfaceError, match="quadric_p3 has no default line seeds"):
-        ascending_chain_search((3, 0), surfaces=["cubic_scroll", "quadric_p3"])
+    # the quadric seeds its rulings, so a twisted cubic is one biliaison away
+    chain = ascending_chain_search((3, 0), surfaces=["cubic_scroll", "quadric_p3"])
+    assert chain.describe() == ["(0,1) --biliaison h=1 on quadric_p3--> (1,2) (3, 0)"]
     # plane_p2 is a blown-up plane with no blown-up point, so no line class
     with pytest.raises(UnsupportedSurfaceError, match="no line classes on plane_p2"):
         ascending_chain_search((4, 0), surfaces=["plane_p2"])
@@ -497,15 +499,16 @@ def test_starts_that_differ_in_a_rao_tag_share_an_exploration(cold_explorations)
 
 
 def _class_invariants(surface, C):
-    """(C.H, C^2, C.K, min_L L.C, max_L (L.K + L.C)) by intersect on the class."""
-    lines = lines_on(surface).classes if surface.basis == "blownup_plane" else ()
+    """(C.H, C^2, C.K, min_L L.C, max_L (L.K + L.C)) by intersect on the
+    class; the min and max over no lines are inf and -inf."""
+    lines = lines_on(surface).classes
     prods = [intersect(line, C) for line in lines]
     return (
         degree(C, surface),
         intersect(C, C),
         intersect(C, surface.K),
-        min(prods) if prods else None,
-        max(intersect(line, surface.K) + p for line, p in zip(lines, prods)) if prods else None,
+        min(prods, default=math.inf),
+        max((intersect(line, surface.K) + p for line, p in zip(lines, prods)), default=-math.inf),
     )
 
 
@@ -618,21 +621,13 @@ def test_moves_skipped_after_a_move_were_offered_by_the_parent():
     assert skipped["screened", True] and skipped["screened", False]
 
 
-BLOWNUP_SURFACES = [s for s in load_catalog().values() if s.basis == "blownup_plane"]
-
-
-@pytest.mark.parametrize(
-    "surface", BLOWNUP_SURFACES + [get_surface("quadric_p3")], ids=lambda s: s.id
-)
+@pytest.mark.parametrize("surface", load_catalog().values(), ids=lambda s: s.id)
 def test_moved_invariants_match_the_lattice(surface):
     """Invariants carried along random walks of biliaisons and G-links
     equal those recomputed on the built class, and give its (d, g)."""
     rng = random.Random(48)
     rows = screen_rows(surface)
-    if surface.basis == "blownup_plane":
-        starts = [surface.H, *lines_on(surface).classes]
-    else:
-        starts = [surface.H, DivisorClass.quadric((1, 0)), DivisorClass.quadric((0, 1))]
+    starts = [surface.H, *lines_on(surface).classes]
     for walk in range(40):
         C = rng.choice(starts)
         inv = rows.invariants(C.coeffs)
@@ -645,6 +640,7 @@ def test_moved_invariants_match_the_lattice(surface):
                 C = move[1] * surface.H - surface.K - C
             inv = moved_invariants(rows, inv, move)
             assert inv == _class_invariants(surface, C) == rows.invariants(C.coeffs), (walk, C)
+            assert all(type(v) is int or v in (math.inf, -math.inf) for v in inv), (walk, C)
             genus = (inv[1] + inv[2]) // 2 + 1
             assert (inv[0], genus) == (degree(C, surface), arithmetic_genus(C, surface))
 

@@ -14,12 +14,7 @@ from pathlib import Path
 import pytest
 
 from liaisonkit import surfaces
-from liaisonkit.errors import (
-    CatalogError,
-    LiaisonkitError,
-    UnknownSurfaceError,
-    UnsupportedSurfaceError,
-)
+from liaisonkit.errors import CatalogError, LiaisonkitError, UnknownSurfaceError
 from liaisonkit.lattice import DivisorClass, arithmetic_genus, intersect, self_intersection
 from liaisonkit.surfaces import (
     SurfaceModel,
@@ -161,8 +156,6 @@ def test_lines_on_bordiga_and_castelnuovo():
 def test_line_invariants_hold_on_every_catalog_surface():
     for sid in surface_ids():
         s = get_surface(sid)
-        if s.basis != "blownup_plane":
-            continue
         for c, flag in lines_on(s).pairs():
             assert intersect(c, s.H) == 1
             assert arithmetic_genus(c, s) == 0
@@ -170,9 +163,25 @@ def test_line_invariants_hold_on_every_catalog_surface():
             assert flag == ("finite" if self_intersection(c) == -1 else "one_parameter")
 
 
-def test_lines_unsupported_on_quadric():
-    with pytest.raises(UnsupportedSurfaceError):
-        lines_on(get_surface("quadric_p3"))
+def test_lines_on_quadric_are_the_rulings():
+    quadric = get_surface("quadric_p3")
+    assert lines_on(quadric).pairs() == (
+        (DivisorClass.quadric((0, 1)), "one_parameter"),
+        (DivisorClass.quadric((1, 0)), "one_parameter"),
+    )
+
+
+def test_quadric_screen_is_the_effective_cone():
+    # oracle: the effective classes of P1 x P1 are (a, b) with a, b >= 0
+    quadric = get_surface("quadric_p3")
+    Q = DivisorClass.quadric
+    assert not is_effective_candidate(quadric, Q((2, -1)))
+    assert not is_effective_candidate(quadric, Q((-1, 3)))
+    assert is_effective_candidate(quadric, Q((0, 3)))
+    assert is_effective_candidate(quadric, Q((2, 1)))
+    for a, b in itertools.product(range(-4, 5), repeat=2):
+        want = a >= 0 and b >= 0 and a + b >= 1
+        assert is_effective_candidate(quadric, Q((a, b))) == want, (a, b)
 
 
 def test_conic_classes():
