@@ -4,10 +4,11 @@ points to a single point by Gorenstein links.
 States are point counts carrying their generic h-vectors; a move links
 the current configuration through an enumerated Gorenstein h-vector and
 must land on another generic configuration: only generic residuals are
-admissible.  Each move is decided by one exact residual test, with no
-linkage call (see ``_moves``); the tests keep the full ``link_h_vector``
-scan as its oracle.  ``PointChain.validate`` re-links every step of
-every returned chain, so certification sits in one place.
+admissible.  Each move is decided by a length window and one exact
+residual test, with no linkage call (see ``_moves``); the tests keep the
+full ``link_h_vector`` scan as its oracle.  ``PointChain.validate``
+re-links every step of every returned chain, so certification sits in
+one place.
 
 Three process-global caches, filled on first use and never cleared,
 serve every chain: the Gorenstein tables (``_gorenstein_h_vectors``),
@@ -104,8 +105,14 @@ def _saturation(codim: int, socle_bound: int) -> int:
 
 def _mass_cap(codim: int, max_mass: int, socle_bound: int) -> int:
     """Cap of the cached table that serves ``max_mass``: the next power of
-    two at or above it, or the saturation when that is smaller."""
-    return min(1 << (max_mass - 1).bit_length(), _saturation(codim, socle_bound))
+    two at or above it, or the saturation once that power is above half
+    of it.  So min(max_mass, sat) <= cap <= sat and cap < 4 * max_mass:
+    a small configuration keeps a small table, and every max_mass whose
+    power of two passes sat / 2 shares the saturated table and its move
+    lists."""
+    cap = 1 << (max_mass - 1).bit_length()
+    sat = _saturation(codim, socle_bound)
+    return cap if 2 * cap <= sat else sat
 
 
 class _Node:
@@ -146,14 +153,15 @@ def _gorenstein_h_vectors(codim: int, mass_cap: int, socle_bound: int) -> _Node:
     socle degree ``socle_bound``, as the root of a prefix index over its
     entry tuples.  Built on first use, never at import.
 
-    ``ag_candidates_containing`` asks only for caps that are powers of two
-    or the saturation ``_saturation(codim, socle_bound)``, and serves a
-    smaller ``max_mass`` as a mass filter of the table, which equals a
-    build capped at ``max_mass``.  Every cap at or above saturation is the
-    one saturated table (367 entries for (3, 12)), shared by all larger
-    configurations; doubling caps keep the table of a small configuration
-    small at a large socle bound (the saturated (3, 30) table has 196,573
-    entries)."""
+    ``ag_candidates_containing`` asks only for the caps of ``_mass_cap``:
+    powers of two up to half the saturation ``_saturation(codim,
+    socle_bound)``, and the saturation itself.  It serves a smaller
+    ``max_mass`` as a mass filter of the table, which equals a build
+    capped at ``max_mass``.  The saturated table (367 entries for (3, 12))
+    serves every ``max_mass`` whose power of two is above half the
+    saturation, 65 and up for (3, 12); the power-of-two caps below it
+    keep the table of a small configuration small at a large socle bound
+    (the saturated (3, 30) table has 196,573 entries)."""
     table = _build_gorenstein_h_vectors(codim, mass_cap, socle_bound)
     return _index(table, tuple(w.mass for w in table), 0)
 
@@ -215,12 +223,22 @@ def _moves(
     surface the linking scheme must also fit under the constrained growth
     caps.  A configuration above ``cap`` has no moves.
 
-    Each candidate is screened by its target count first: the residual
-    r(i) = w(i) - z(s - i), i = 0..s, has mass m2 = mass(w) - m exactly,
-    because len(w) >= len(z) (w contains z) puts every entry of z in the
-    sum.  So the range and new-target checks run on m2 before r is
-    formed.  A survivor is decided by r alone: w is the move to m2 iff r
-    is the generic vector of m2 points followed only by zeros.  The test
+    w is the move to m2 iff the residual r(i) = w(i) - z(s - i),
+    i = 0..s, is g = generic(m2) followed only by zeros.  Three facts of
+    that shape screen a candidate before r is formed, with n = len(w) =
+    s + 1, lz = len(z) and lg = len(g):
+
+    - r(0) = 1 - z(s) must be g(0) = 1 (a move reaches m2 >= 1 points),
+      so z(s) = 0: n > lz.
+    - r(s) = w(s) - z(0) = 0, and g ends in a nonzero entry: lg < n.
+    - For i <= s - lz, r(i) = w(i) >= 1, since w has no zero up to s:
+      lg >= n - lz.
+
+    r has mass m2 = mass(w) - m exactly, because len(w) >= len(z) (w
+    contains z) puts every entry of z in the sum, and n > lz makes
+    m2 >= n - lz >= 1.  So the length test runs before ``w.mass`` is
+    read, the new-target check runs on m2, and the lg window right after
+    ``_generic(m2)``.  A survivor is decided by r alone.  The test
     is exact, so no linkage call follows it: w is Gorenstein (the table
     is built so) and contains z (``ag_candidates_containing`` checked
     it), so ``link_h_vector(z, w)`` succeeds exactly when r is
@@ -245,19 +263,26 @@ def _moves(
     else:
         envelope = None
     ze = z.entries
+    lz = len(ze)
     rz = ze[::-1]
     targets: dict[int, HVector] = {}
     for w in ag_candidates_containing(z, cap, socle_bound):
-        m2 = w.mass - m
-        if m2 < 1 or m2 in targets:
-            continue
         we = w.entries
+        n = len(we)
+        if n <= lz:
+            continue
+        m2 = w.mass - m
+        if m2 in targets:
+            continue
+        g = _generic(m2, ambient, surface_degree).entries
+        lg = len(g)
+        if not n - lz <= lg < n:
+            continue
         if envelope is not None and any(v > envelope[i] for i, v in enumerate(we)):
             continue
         # z(s - i) for i = 0..s: z reversed, zero-padded to len(w)
-        r = tuple(map(sub, we, (0,) * (len(we) - len(ze)) + rz))
-        g = _generic(m2, ambient, surface_degree).entries
-        if r[: len(g)] == g and not any(r[len(g) :]):
+        r = tuple(map(sub, we, (0,) * (n - lz) + rz))
+        if r[:lg] == g and not any(r[lg:]):
             targets[m2] = w
     return tuple((w, m2) for m2, w in sorted(targets.items()))
 

@@ -17,6 +17,7 @@ from liaisonkit.glicci import (
     _build_gorenstein_h_vectors,
     _generic,
     _gorenstein_h_vectors,
+    _mass_cap,
     _moves,
     _saturation,
     ag_candidates_containing,
@@ -83,7 +84,7 @@ def _scan(z, max_mass, socle_bound, builds):
 
 def test_ag_candidates_match_the_linear_scan():
     # generic and non-generic z, masses from z's own up past saturation,
-    # across the power-of-two caps of the cached tables
+    # across the power-of-two and saturated caps of the cached tables
     builds = {}
     compared = 0
     for codim, ambient in ((2, "P2"), (3, "P3")):
@@ -118,6 +119,19 @@ def test_mass_filtered_table_equals_a_capped_build():
                 got = ag_candidates_containing(one_point, max_mass, socle_bound)
                 assert got == list(_build_gorenstein_h_vectors(codim, max_mass, socle_bound))
                 assert got == [w for w in full if w.mass <= max_mass]
+
+
+def test_mass_cap_bounds():
+    # a small configuration keeps a table within 4x its mass; once the
+    # power of two passes half the saturation, the saturated table serves
+    for codim in (2, 3):
+        for socle_bound in range(31):
+            sat = _saturation(codim, socle_bound)
+            for max_mass in range(1, 3 * sat + 1):
+                cap = _mass_cap(codim, max_mass, socle_bound)
+                assert min(max_mass, sat) <= cap <= sat, (codim, socle_bound, max_mass)
+                assert cap < 4 * max_mass, (codim, socle_bound, max_mass)
+                assert cap == sat or cap & (cap - 1) == 0, (codim, socle_bound, max_mass)
 
 
 def _clear_glicci_caches():
@@ -169,6 +183,13 @@ def test_searches_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def _chain_repr(inp):
+    n, kwargs, socle_bound, max_intermediate = inp
+    return repr(
+        glicci_chain(n, socle_bound=socle_bound, max_intermediate=max_intermediate, **kwargs)
+    )
+
+
 def test_warm_move_cache_equals_cold():
     # every glicci cache cleared before each call, against one warm pass in
     # shuffled order: a cached move list must not depend on which chain,
@@ -187,19 +208,13 @@ def test_warm_move_cache_equals_cold():
         for max_intermediate in (None, n, n + 3, 2 * n)
     ]
 
-    def run(inp):
-        n, kwargs, socle_bound, max_intermediate = inp
-        return repr(
-            glicci_chain(n, socle_bound=socle_bound, max_intermediate=max_intermediate, **kwargs)
-        )
-
     cold = []
     for inp in inputs:
         _clear_glicci_caches()
-        cold.append(run(inp))
+        cold.append(_chain_repr(inp))
     order = random.Random(16).sample(range(len(inputs)), len(inputs))
     _clear_glicci_caches()
-    warm = {i: run(inputs[i]) for i in order}
+    warm = {i: _chain_repr(inputs[i]) for i in order}
     assert [warm[i] for i in range(len(inputs))] == cold
     assert any("SearchFailure" in r for r in cold)
     assert any("PointChain" in r for r in cold)
@@ -229,18 +244,21 @@ def _link_scan(m, ambient, surface_degree, socle_bound, cap):
 
 
 def test_moves_equal_the_link_scan():
-    # the residual test of _moves decides each move exactly as a full
-    # link_h_vector scan does, at power-of-two and saturated caps
+    # the length window and residual test of _moves decide each move
+    # exactly as a full link_h_vector scan does, at power-of-two and
+    # saturated caps; plain P3 at the saturated socle-20 cap stops at
+    # m = 12, where its scans get slow
     compared = 0
-    for ambient, surface_degree, codim in (
-        ("P2", None, 2),
-        ("P3", None, 3),
-        ("P3", 2, 3),
-        ("P3", 3, 3),
+    for ambient, surface_degree, codim, top20 in (
+        ("P2", None, 2, 30),
+        ("P3", None, 3, 12),
+        ("P3", 2, 3, 30),
+        ("P3", 3, 3, 30),
     ):
-        domain = [(s, cap) for s in (3, 6, 12) for cap in (16, _saturation(codim, s))]
-        for socle_bound, cap in domain + [(20, 32)]:
-            for m in range(1, min(cap, 30) + 1):
+        domain = [(s, cap, 30) for s in (3, 6, 12) for cap in (16, _saturation(codim, s))]
+        domain += [(20, 32, 30), (20, _saturation(codim, 20), top20)]
+        for socle_bound, cap, top in domain:
+            for m in range(1, min(cap, top) + 1):
                 args = (m, ambient, surface_degree, socle_bound, cap)
                 assert _moves(*args) == _link_scan(*args), args
                 compared += 1
@@ -359,6 +377,31 @@ def test_glicci_sweep_oracle():
         if got != want:
             wrong.append((key, got))
     assert wrong == []
+
+
+def test_chains_do_not_depend_on_the_cap(monkeypatch):
+    # a chain reads the m2 <= max_intermediate - m prefix of the move lists
+    # of whatever cap _mass_cap picks, so tables capped at max_intermediate
+    # exactly must give the same chains; max_intermediate runs across the
+    # power of two p <= sat / 2 where the cap switches to the saturation
+    inputs = []
+    for kwargs in GLICCI_MODES.values():
+        codim = 2 if kwargs["ambient"] == "P2" else 3
+        for socle_bound in (6, 12, 20):
+            sat = _saturation(codim, socle_bound)
+            p = 1 << ((sat // 2).bit_length() - 1)
+            for max_intermediate in sorted({p - 1, p, p + 1, sat // 2, sat // 2 + 1, sat}):
+                for n in (1, 2, 4, 9, 13, 18, 30, 49):
+                    if n <= max_intermediate:
+                        inputs.append((n, kwargs, socle_bound, max_intermediate))
+
+    shared = [_chain_repr(inp) for inp in inputs]
+    monkeypatch.setattr(glicci, "_mass_cap", lambda codim, max_mass, socle_bound: max_mass)
+    exact = [_chain_repr(inp) for inp in inputs]
+    _clear_glicci_caches()  # drop the exact-cap tables and move lists
+    assert exact == shared
+    assert any("SearchFailure" in r for r in shared)
+    assert any("PointChain" in r for r in shared)
 
 
 def test_n1_empty_chain():
