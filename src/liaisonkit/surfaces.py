@@ -288,6 +288,23 @@ def surface_ids(catalog_path: str | None = None) -> tuple[str, ...]:
 # permutation within blocks keeps the length of the coefficient tuple and
 # moves the same int objects, so every check would pass again.
 #
+# Expansion order.  The orbits are built in sorted order, so the full list
+# is never sorted.  Representatives are grouped by their fixed entries
+# (a, and b_1 on castelnuovo_5) and the groups expanded in increasing
+# order, so each group's tuples precede the next group's.  Within a group
+# the orbits of different representatives interleave: those of (0; 2,0,0)
+# and (0; 1,1,0) run (0; 0,0,2), (0; 0,1,1), (0; 0,2,0), (0; 1,0,1), ...
+# in sorted order.  So a group's orbits are merged as they are built:
+# the sorted union of the orderings of several multisets of one length
+# is, for each value v some of them hold, in increasing order, v followed
+# by the sorted union for those multisets less one v.  Removing one v
+# from two sorted tuples of one length keeps their order (the first
+# position where they differ either stays, or the removed v lies beyond
+# it), so the members stay sorted and distinct at every level and no
+# level sorts.  A sort remains only where the blocks do not follow the
+# fixed positions contiguously: the built tuples are then permuted into
+# place, which breaks the order.  No catalog surface has such a layout.
+#
 # The full list is bound by allocation, not by arithmetic: every orbit
 # member costs one coefficient tuple and one DivisorClass, CPython runs a
 # young-generation collection every 700 tracked allocations, and each
@@ -418,58 +435,97 @@ def _removals(ms):
             yield v, ms[:i] + ms[i + 1 :]
 
 
-def _orderings(ms, memo):
-    """Each distinct ordering of the sorted tuple ``ms`` once, sorted: for
-    each distinct value v in increasing order, ``(v,)`` followed by the
-    orderings of the rest.  ``memo`` maps the multisets done to their lists."""
-    if len(ms) < 2:
-        return [ms]
-    got = memo.get(ms)
+def _orderings(key, memo):
+    """Each distinct ordering of the multisets in ``key`` once, sorted.
+
+    ``key`` is a sorted tuple of distinct sorted tuples, all of one
+    length, and the union is built as the "Expansion order" comment
+    says, with no sort.  A one-member key whose entries are all equal
+    (long runs of zeros are common) is its own list.  ``memo`` maps the
+    keys done to their lists.
+
+    >>> _orderings(((0, 1, 1),), {})
+    [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    >>> _orderings(((0, 0, 2), (0, 1, 1)), {})
+    [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    """
+    ms = key[0]
+    if len(ms) < 2 or (len(key) == 1 and ms[0] == ms[-1]):
+        return key
+    got = memo.get(key)
     if got is None:
-        got = memo[ms] = []
-        for v, rest in _removals(ms):
-            got += map((v,).__add__, _orderings(rest, memo))
+        got = memo[key] = []
+        holders: dict = {}
+        for member in key:
+            for v, rest in _removals(member):
+                holders.setdefault(v, []).append(rest)
+        for v in sorted(holders):
+            got += map((v,).__add__, _orderings(tuple(holders[v]), memo))
     return got
 
 
+def _expand(prefix, members, memo, out):
+    """Append to ``out``, sorted, ``prefix`` followed by every ordering of
+    each of ``members``' blocks in turn.  ``members`` is a sorted list of
+    distinct tuples of sorted block entries, one per block still to place.
+
+    The last block is emitted from buckets keyed by the first two values
+    (v, u) an ordering takes, in sorted order, so only its shorter tails
+    are memoized.  An earlier block walks the sorted union of its
+    orderings and expands, after each, the members holding its multiset.
+    """
+    if len(members[0]) == 1:
+        buckets: dict = {}
+        for (ms,) in members:
+            for v, rest in _removals(ms):
+                for u, tail in _removals(rest):
+                    buckets.setdefault((v, u), []).append(tail)
+        for vu in sorted(buckets):
+            out += map((prefix + vu).__add__, _orderings(tuple(buckets[vu]), memo))
+        return
+    rests: dict = {}
+    for m in members:
+        rests.setdefault(m[0], []).append(m[1:])
+    for first in _orderings(tuple(rests), memo):
+        _expand(prefix + first, rests[tuple(sorted(first))], memo, out)
+
+
 def _orbit_tuples(reps, rank, blocks):
-    """Every distinct tuple in the orbits of the coefficient tuples
-    ``reps``, sorted: the entries permuted within each block of
+    """Every tuple in the orbits of the coefficient tuples ``reps`` (one
+    per orbit), sorted: the entries permuted within each block of
     positions (``blocks`` is nonempty and holds no position 0, so
     ``rank >= 3`` and ``place`` returns a tuple).
 
     An orbit is the fixed entries followed by every distinct ordering of
-    each block in turn; ``place`` moves them to their positions unless the
-    blocks already follow the fixed positions.  The top two levels of a
-    block are emitted onto the prefix and only shorter tails are memoized,
-    for this call only, so the memo stays small beside the output.
-    Unmoved orbits come out as sorted runs, which the final sort merges.
-    An output tuple has its representative's length and int entries, so
-    it inherits the checks of the representative's class.
+    each block in turn.  The representatives are grouped by their fixed
+    entries and the groups expanded in increasing order, each by
+    :func:`_expand`, which merges a group's orbits as it builds them (see
+    the "Expansion order" comment).  The memo lives for this call only,
+    so it stays small beside the output.  Only when the blocks do not
+    follow the fixed positions contiguously (no catalog surface) does
+    ``place`` move the entries to their positions, and that list is
+    sorted.  An output tuple has its representative's length and int
+    entries, so it inherits the checks of the representative's class.
 
     >>> _orbit_tuples([(5, 2, 7, 0), (1, 3, 0, 3)], 4, [(1, 3)])
     [(1, 3, 0, 3), (5, 0, 7, 2), (5, 2, 7, 0)]
     """
     fixed = [p for p in range(rank) if all(p not in block for block in blocks)]
     order = fixed + [p for block in blocks for p in block]
-    # puts the entries of fixed + blocks at the positions they stand for
-    place = itemgetter(*sorted(range(rank), key=order.__getitem__))
-    aligned = order == sorted(order)
+    groups: dict = {}
+    for coeffs in reps:
+        head = tuple(map(coeffs.__getitem__, fixed))
+        member = tuple(tuple(sorted(map(coeffs.__getitem__, block))) for block in blocks)
+        groups.setdefault(head, []).append(member)
     memo = {}
     out = []
-    for coeffs in reps:
-        heads = [tuple(map(coeffs.__getitem__, fixed))]
-        for block in blocks:
-            ms = tuple(sorted(map(coeffs.__getitem__, block)))
-            longer = []
-            for head in heads:
-                for v, rest in _removals(ms):
-                    for u, tail in _removals(rest):
-                        longer += map((head + (v, u)).__add__, _orderings(tail, memo))
-            heads = longer
-        out += heads if aligned else map(place, heads)
-    out.sort()
-    return out
+    for head in sorted(groups):
+        _expand(head, sorted(groups[head]), memo, out)
+    if order == sorted(order):
+        return out
+    # puts the entries of fixed + blocks at the positions they stand for
+    place = itemgetter(*sorted(range(rank), key=order.__getitem__))
+    return sorted(map(place, out))
 
 
 def class_representatives(

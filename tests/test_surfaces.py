@@ -366,10 +366,11 @@ def _brute_orbits(reps, rank, blocks):
     return sorted(found)
 
 
-def _random_orbit_case(rng):
+def _random_orbit_case(rng, fixed_lo=-5, fixed_hi=5):
     """A rank, one to three blocks of positions 1..rank-1 (in any order,
     possibly interleaved, the rest fixed) and distinct orbit
-    representatives in shuffled order, whose block entries often repeat."""
+    representatives in shuffled order, whose block entries often repeat.
+    The fixed entries are drawn from [fixed_lo, fixed_hi]."""
     rank = rng.randint(3, 7)
     labels = {p: rng.randrange(4) for p in range(1, rank)}
     blocks = [tuple(p for p in labels if labels[p] == k) for k in range(1, 4)]
@@ -380,7 +381,7 @@ def _random_orbit_case(rng):
     top = rng.choice((0, 1, 3))
     reps = set()
     for _ in range(rng.randint(1, 6)):
-        t = [rng.randint(-5, 5) for _ in range(rank)]
+        t = [rng.randint(fixed_lo, fixed_hi) for _ in range(rank)]
         for block in blocks:
             for p, v in zip(block, sorted((rng.randint(-top, top) for _ in block), reverse=True)):
                 t[p] = v
@@ -388,6 +389,14 @@ def _random_orbit_case(rng):
     reps = list(reps)
     rng.shuffle(reps)
     return reps, rank, blocks
+
+
+def _shares_fixed_entries(reps, rank, blocks):
+    """Whether two of ``reps`` agree on every position outside ``blocks``,
+    so that their orbits interleave in sorted order."""
+    fixed = [p for p in range(rank) if all(p not in b for b in blocks)]
+    heads = [tuple(t[p] for p in fixed) for t in reps]
+    return len(set(heads)) < len(heads)
 
 
 def test_orbit_tuples_match_brute_force_permutations():
@@ -404,7 +413,24 @@ def test_orbit_tuples_match_brute_force_permutations():
     ]
     rng = random.Random(23)
     cases += [_random_orbit_case(rng) for _ in range(300)]
-    for reps, rank, blocks in cases:
+    # Orbits of representatives with the same fixed entries interleave and
+    # are merged as they are built; the cases above rarely have them.
+    # Catalog representatives often share their a (and b_1 on
+    # castelnuovo_5), so does the generator with fixed entries in {0, 1},
+    # and on the two-block surface members of one a also share their
+    # first block's multiset.
+    two = _two_block_surface()
+    shared = [
+        ([c.coeffs for c in class_representatives(get_surface(sid), d, min_self=floor)],
+         rank, [tuple(range(rank - n, rank))])
+        for sid, d, floor, rank, n in [("del_pezzo_4", 7, 0, 6, 5), ("castelnuovo_5", 4, -2, 9, 7)]
+    ]
+    shared.append(([c.coeffs for c in class_representatives(two, 7, min_self=-3)],
+                   6, [(1, 2), (3, 4, 5)]))
+    shared += [_random_orbit_case(rng, 0, 1) for _ in range(300)]
+    assert all(_shares_fixed_entries(*case) for case in shared[:3])
+    assert sum(_shares_fixed_entries(*case) for case in shared[3:]) > 100
+    for reps, rank, blocks in cases + shared:
         assert _orbit_tuples(reps, rank, blocks) == _brute_orbits(reps, rank, blocks), (
             reps, rank, blocks,
         )
